@@ -34,8 +34,8 @@ namespace freq::bench {
 // --- heap-allocation counting ------------------------------------------------
 
 namespace detail {
-/// Process-wide allocation counters, fed by the replacement operator
-/// new/delete defined at the bottom of this header. Relaxed atomics: the
+/// Process-wide allocation counters, fed by the replacement operator new
+/// forms defined at the bottom of this header. Relaxed atomics: the
 /// benches read deltas between phase boundaries on one thread; worker
 /// threads' allocations land eventually (the phases join their workers
 /// before reading).
@@ -244,9 +244,15 @@ inline void print_stream_stats(const update_stream<std::uint64_t, std::uint64_t>
 // standard library's, the workload's — into the counters above. Disable
 // with -DFREQ_BENCH_NO_ALLOC_HOOK (e.g. for a TU that links something with
 // its own replacement).
+//
+// Only the operator new forms are replaced; the default operator delete
+// releases with std::free, which matches malloc and posix_memalign. The
+// forms that allocate are kept out of line: inlined into a caller, g++
+// would see malloc'd memory reach operator delete and flag it with
+// -Wmismatched-new-delete.
 #ifndef FREQ_BENCH_NO_ALLOC_HOOK
 
-void* operator new(std::size_t n) {
+[[gnu::noinline]] void* operator new(std::size_t n) {
     freq::bench::detail::note_alloc(n);
     if (void* p = std::malloc(n != 0 ? n : 1)) {
         return p;
@@ -256,7 +262,7 @@ void* operator new(std::size_t n) {
 
 void* operator new[](std::size_t n) { return ::operator new(n); }
 
-void* operator new(std::size_t n, std::align_val_t al) {
+[[gnu::noinline]] void* operator new(std::size_t n, std::align_val_t al) {
     freq::bench::detail::note_alloc(n);
     const std::size_t a = std::max(static_cast<std::size_t>(al), sizeof(void*));
     void* p = nullptr;
@@ -270,7 +276,7 @@ void* operator new(std::size_t n, std::align_val_t al) {
 
 void* operator new[](std::size_t n, std::align_val_t al) { return ::operator new(n, al); }
 
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+[[gnu::noinline]] void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
     freq::bench::detail::note_alloc(n);
     return std::malloc(n != 0 ? n : 1);
 }
@@ -278,17 +284,6 @@ void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
 void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
     return ::operator new(n, t);
 }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 #endif  // FREQ_BENCH_NO_ALLOC_HOOK
 

@@ -46,6 +46,11 @@
 /// dictionary slice for the keys routed to it (engine/stream_engine.h), so
 /// `.text_keys().sharded(4)` materializes a concurrent text summarizer
 /// whose reports carry full spellings.
+///
+/// Every instantiation sits behind one class template,
+/// detail::facade_summary<Sketch, Sharded>, and one type table,
+/// detail::facade_sketches, maps descriptors to sketch types for build()
+/// and restore_summary alike.
 
 #include <algorithm>
 #include <chrono>
@@ -110,25 +115,31 @@ W facade_threshold(double t) {
     }
 }
 
-/// Core rows (id-keyed) -> façade rows. The table cores call the key `id`,
-/// the map core calls it `item`; both are 64-bit here.
+/// Core rows -> façade rows. Spelled rows (fingerprint-counted text cores)
+/// carry the 64-bit fingerprint the core actually counted (correct even
+/// while a spelling is still "<unknown>") and the human-readable key.
+/// Id-keyed rows — the table cores call the key `id`, the map core calls
+/// it `item` — spell the id in decimal.
 template <typename Rows>
-std::vector<result_row> u64_rows(const Rows& in) {
-    auto key_of = [](const auto& r) {
-        if constexpr (requires { r.id; }) {
-            return static_cast<std::uint64_t>(r.id);
-        } else {
-            return static_cast<std::uint64_t>(r.item);
-        }
-    };
+std::vector<result_row> facade_rows(const Rows& in) {
     std::vector<result_row> out;
     out.reserve(in.size());
     for (const auto& r : in) {
-        const std::uint64_t key = key_of(r);
-        out.push_back(result_row{key, std::to_string(key),
-                                 static_cast<double>(r.estimate),
-                                 static_cast<double>(r.lower_bound),
-                                 static_cast<double>(r.upper_bound)});
+        result_row row{0, {}, static_cast<double>(r.estimate),
+                       static_cast<double>(r.lower_bound),
+                       static_cast<double>(r.upper_bound)};
+        if constexpr (requires { r.fingerprint; }) {
+            row.id = r.fingerprint;
+            row.item = r.item;
+        } else {
+            if constexpr (requires { r.id; }) {
+                row.id = static_cast<std::uint64_t>(r.id);
+            } else {
+                row.id = static_cast<std::uint64_t>(r.item);
+            }
+            row.item = std::to_string(row.id);
+        }
+        out.push_back(std::move(row));
     }
     return out;
 }
@@ -165,13 +176,14 @@ private:
     summarizer_impl* owner_;
 };
 
-/// Lifetime-policy clock of a core summary (0 for plain).
+/// Lifetime-policy clock of a core summary (0 for plain). Windowed cores
+/// and the text cores keep their own clock; decaying ones keep it in the
+/// policy.
 template <typename Sketch>
 std::uint64_t clock_of(const Sketch& s) {
-    using P = typename Sketch::lifetime_policy;
-    if constexpr (P::windowed) {
+    if constexpr (requires { s.now(); }) {
         return s.now();
-    } else if constexpr (P::decaying) {
+    } else if constexpr (Sketch::lifetime_policy::decaying) {
         return s.policy().now();
     } else {
         return 0;
@@ -198,602 +210,422 @@ inline void require_merge_compatible(const summary_descriptor& a,
     }
 }
 
-// --- standalone u64-keyed summaries (table- or map-backed) -------------------
+// --- the façade summary ------------------------------------------------------
 
-/// Wraps any id-keyed core summary (basic_frequent_items of any policy, or
-/// the map-backed generic core) behind the erased interface. \p TopItems
-/// exists because the map core exposes no top_items(); see map_top_items.
-template <typename Sketch>
-class u64_summarizer final : public summarizer_impl {
-public:
-    using W = typename Sketch::weight_type;
-
-    u64_summarizer(summary_descriptor desc, Sketch sketch)
-        : desc_(std::move(desc)), sketch_(std::move(sketch)) {}
-
-    const summary_descriptor& descriptor() const noexcept override { return desc_; }
-    bool sharded() const noexcept override { return false; }
-
-    void update(std::uint64_t id, double weight) override {
-        sketch_.update(id, facade_weight<W>(weight));
-    }
-    void update(std::string_view, double) override { wrong_key_kind("u64", "text"); }
-    void update(std::span<const update64> batch) override {
-        if constexpr (std::is_same_v<W, std::uint64_t> && !is_map_backed) {
-            sketch_.update(batch);  // the template layer's prefetching span path
-        } else {
-            for (const auto& u : batch) {
-                sketch_.update(u.id, facade_weight<W>(static_cast<double>(u.weight)));
-            }
-        }
-    }
-    std::unique_ptr<feeder_impl> make_feeder() override {
-        return std::make_unique<standalone_feeder>(this);
-    }
-    void flush() override {}
-
-    void tick(std::uint64_t epochs) override { sketch_.tick(epochs); }
-    std::uint64_t now() const override { return clock_of(sketch_); }
-
-    double estimate(std::uint64_t id) const override {
-        return static_cast<double>(sketch_.estimate(id));
-    }
-    double lower_bound(std::uint64_t id) const override {
-        return static_cast<double>(sketch_.lower_bound(id));
-    }
-    double upper_bound(std::uint64_t id) const override {
-        return static_cast<double>(sketch_.upper_bound(id));
-    }
-    double estimate(std::string_view) const override { wrong_key_kind("u64", "text"); }
-    double lower_bound(std::string_view) const override { wrong_key_kind("u64", "text"); }
-    double upper_bound(std::string_view) const override { wrong_key_kind("u64", "text"); }
-
-    double total_weight() const override {
-        return static_cast<double>(sketch_.total_weight());
-    }
-    double maximum_error() const override {
-        return static_cast<double>(sketch_.maximum_error());
-    }
-    std::uint32_t num_counters() const override {
-        return static_cast<std::uint32_t>(sketch_.num_counters());
-    }
-    std::uint32_t capacity() const override { return sketch_.capacity(); }
-    std::size_t memory_bytes() const override { return sketch_.memory_bytes(); }
-
-    result_set frequent_items(error_mode mode, double threshold) const override {
-        auto rows = u64_rows(sketch_.frequent_items(mode, facade_threshold<W>(threshold)));
-        const double err = result_error(maximum_error(), rows);
-        return result_set(mode, threshold, total_weight(), err, std::move(rows));
-    }
-    result_set top_items(std::size_t m) const override {
-        auto rows = sketch_top_items(m);
-        const double err = result_error(maximum_error(), rows);
-        return result_set(error_mode::no_false_negatives, 0.0, total_weight(), err,
-                          std::move(rows));
-    }
-
-    summary_bytes save() override { return envelope_save(sketch_); }
-
-    void merge_from(const summarizer_impl& other) override {
-        const auto* peer = dynamic_cast<const u64_summarizer*>(&other);
-        FREQ_REQUIRE(peer != nullptr && peer != this,
-                     "merge requires a distinct standalone summarizer of the same "
-                     "instantiation (snapshot() a sharded one first)");
-        require_merge_compatible(desc_, peer->desc_);
-        sketch_.merge(peer->sketch_);
-    }
-
-    std::unique_ptr<summarizer_impl> snapshot() const override {
-        return std::make_unique<u64_summarizer>(desc_, sketch_);
-    }
-
-    std::string to_string() const override { return sketch_.to_string(); }
-
-private:
-    static constexpr bool is_map_backed =
-        summary_traits<Sketch>::backend == backend_kind::map;
-
-    std::vector<result_row> sketch_top_items(std::size_t m) const {
-        if constexpr (is_map_backed) {
-            // The map core has no top_items(); every tracked item clears an
-            // upper-bound threshold of 0, and rows arrive estimate-sorted.
-            auto rows = sketch_.frequent_items(error_mode::no_false_negatives, W{0});
-            if (rows.size() > m) {
-                rows.resize(m);
-            }
-            return u64_rows(rows);
-        } else {
-            return u64_rows(sketch_.top_items(m));
-        }
-    }
-
-    summary_descriptor desc_;
-    Sketch sketch_;
-};
-
-// --- standalone text-keyed summaries -----------------------------------------
-
-/// Spelled rows (fingerprint-counted cores) -> façade rows: `id` is the
-/// 64-bit fingerprint the core actually counted (correct even while a
-/// spelling is still "<unknown>"), `item` the human-readable key.
-template <typename Rows>
-std::vector<result_row> text_rows(const Rows& in) {
-    std::vector<result_row> out;
-    out.reserve(in.size());
-    for (const auto& r : in) {
-        out.push_back(result_row{r.fingerprint, r.item, static_cast<double>(r.estimate),
-                                 static_cast<double>(r.lower_bound),
-                                 static_cast<double>(r.upper_bound)});
-    }
-    return out;
-}
-
-template <typename W, typename L>
-class text_summarizer final : public summarizer_impl {
-public:
-    using sketch_type = string_frequent_items<W, L>;
-
-    text_summarizer(summary_descriptor desc, sketch_type sketch)
-        : desc_(std::move(desc)), sketch_(std::move(sketch)) {}
-
-    const summary_descriptor& descriptor() const noexcept override { return desc_; }
-    bool sharded() const noexcept override { return false; }
-
-    void update(std::uint64_t, double) override { wrong_key_kind("text", "u64"); }
-    void update(std::string_view item, double weight) override {
-        sketch_.update(item, facade_weight<W>(weight));
-    }
-    void update(std::span<const update64>) override { wrong_key_kind("text", "u64"); }
-    std::unique_ptr<feeder_impl> make_feeder() override {
-        return std::make_unique<standalone_feeder>(this);
-    }
-    void flush() override {}
-
-    void tick(std::uint64_t epochs) override { sketch_.tick(epochs); }
-    std::uint64_t now() const override { return sketch_.now(); }
-
-    double estimate(std::uint64_t) const override { wrong_key_kind("text", "u64"); }
-    double lower_bound(std::uint64_t) const override { wrong_key_kind("text", "u64"); }
-    double upper_bound(std::uint64_t) const override { wrong_key_kind("text", "u64"); }
-    double estimate(std::string_view item) const override {
-        return static_cast<double>(sketch_.estimate(item));
-    }
-    double lower_bound(std::string_view item) const override {
-        return static_cast<double>(sketch_.lower_bound(item));
-    }
-    double upper_bound(std::string_view item) const override {
-        return static_cast<double>(sketch_.upper_bound(item));
-    }
-
-    double total_weight() const override {
-        return static_cast<double>(sketch_.total_weight());
-    }
-    double maximum_error() const override {
-        return static_cast<double>(sketch_.maximum_error());
-    }
-    std::uint32_t num_counters() const override { return sketch_.num_counters(); }
-    std::uint32_t capacity() const override { return sketch_.capacity(); }
-    std::size_t memory_bytes() const override { return sketch_.memory_bytes(); }
-
-    result_set frequent_items(error_mode mode, double threshold) const override {
-        auto rows =
-            text_rows(sketch_.frequent_items(mode, facade_threshold<W>(threshold)));
-        const double err = result_error(maximum_error(), rows);
-        return result_set(mode, threshold, total_weight(), err, std::move(rows));
-    }
-    result_set top_items(std::size_t m) const override {
-        auto rows = text_rows(sketch_.top_items(m));
-        const double err = result_error(maximum_error(), rows);
-        return result_set(error_mode::no_false_negatives, 0.0, total_weight(), err,
-                          std::move(rows));
-    }
-
-    summary_bytes save() override { return envelope_save(sketch_); }
-
-    void merge_from(const summarizer_impl& other) override {
-        const auto* peer = dynamic_cast<const text_summarizer*>(&other);
-        FREQ_REQUIRE(peer != nullptr && peer != this,
-                     "merge requires a distinct standalone summarizer of the same "
-                     "instantiation");
-        require_merge_compatible(desc_, peer->desc_);
-        sketch_.merge(peer->sketch_);
-    }
-
-    std::unique_ptr<summarizer_impl> snapshot() const override {
-        return std::make_unique<text_summarizer>(desc_, sketch_);
-    }
-
-    std::string to_string() const override {
-        return "text_summarizer(k=" + std::to_string(sketch_.capacity()) +
-               ", counters=" + std::to_string(sketch_.num_counters()) +
-               ", N=" + std::to_string(static_cast<double>(sketch_.total_weight())) + ")";
-    }
-
-private:
-    summary_descriptor desc_;
-    sketch_type sketch_;
-};
-
-// --- engine-sharded u64-keyed summaries --------------------------------------
-
-template <typename Sketch>
-class engine_summarizer final : public summarizer_impl {
+/// The one erased summary: any core summary \p Sketch (u64- or text-keyed,
+/// as summary_traits<Sketch>::keys says), standalone or engine-sharded.
+///
+/// Standalone, it owns the sketch: updates go straight to sketch.update()
+/// and reads answer from the sketch itself. Sharded, it owns a
+/// stream_engine over per-shard copies of \p Sketch: updates route through
+/// a lazily created internal producer (feeders get producers of their
+/// own), and reads answer from the freshest consistent view (see
+/// with_view). A sharded text summary's producers fingerprint keys onto
+/// the ring hot path, each shard owns its spelling-dictionary slice, and
+/// every view is a full string summary — so estimate("alice") and
+/// top_items() answer with spellings straight off the view.
+template <typename Sketch, bool Sharded>
+class facade_summary final : public summarizer_impl {
 public:
     using W = typename Sketch::weight_type;
     using engine_type = stream_engine<std::uint64_t, W, Sketch>;
 
-    engine_summarizer(summary_descriptor desc, const engine_config& cfg)
-        : desc_(std::move(desc)), engine_(cfg) {}
+    facade_summary(summary_descriptor desc, Sketch sketch)
+        requires(!Sharded)
+        : desc_(std::move(desc)), state_(std::move(sketch)) {}
+
+    facade_summary(summary_descriptor desc, const engine_config& cfg)
+        requires Sharded
+        : desc_(std::move(desc)), state_(cfg) {}
 
     const summary_descriptor& descriptor() const noexcept override { return desc_; }
-    bool sharded() const noexcept override { return true; }
+    bool sharded() const noexcept override { return Sharded; }
 
-    // Ingestion routes through a lazily-created internal producer; queries
-    // see what has been applied — call flush() for a stream-complete view,
-    // exactly like the raw engine API.
-    void update(std::uint64_t id, double weight) override {
-        main().push(id, facade_weight<W>(weight));
-    }
-    void update(std::string_view, double) override { wrong_key_kind("u64", "text"); }
+    // --- ingestion -----------------------------------------------------------
+    // A sharded summary's queries see what has been applied — call flush()
+    // for a stream-complete view, exactly like the raw engine API.
+
+    void update(std::uint64_t id, double weight) override { update_key(id, weight); }
+    void update(std::string_view item, double weight) override { update_key(item, weight); }
     void update(std::span<const update64> batch) override {
-        if constexpr (std::is_same_v<W, std::uint64_t>) {
-            main().push(batch);
-        } else {
-            auto& p = main();
-            for (const auto& u : batch) {
-                p.push(u.id, facade_weight<W>(static_cast<double>(u.weight)));
+        keyed<void>(batch, [&](auto b) {
+            if constexpr (std::is_same_v<W, std::uint64_t> && !map_backed) {
+                ingest(b);  // the template layer's span path / the producer's run push
+            } else {
+                for (const auto& u : b) {
+                    ingest(u.id, facade_weight<W>(static_cast<double>(u.weight)));
+                }
             }
-        }
+        });
     }
     std::unique_ptr<feeder_impl> make_feeder() override {
-        return std::make_unique<engine_feeder>(engine_.make_producer());
+        if constexpr (Sharded) {
+            return std::make_unique<engine_feeder>(state_.engine.make_producer());
+        } else {
+            return std::make_unique<standalone_feeder>(this);
+        }
     }
     void flush() override {
-        if (main_.has_value()) {
-            main_->flush();
+        if constexpr (Sharded) {
+            if (state_.main.has_value()) {
+                state_.main->flush();
+            }
+            state_.engine.flush();
         }
-        engine_.flush();
     }
 
-    // An exact epoch boundary for everything this summarizer staged and
-    // every feeder already flushed: drain first, then tick — otherwise
-    // staged updates would age under the wrong epoch. (Feeders still
-    // holding staged runs on other threads follow the raw engine's
-    // discipline: their updates belong to the epoch of their flush.)
+    // --- lifetime ------------------------------------------------------------
+    // Sharded, a tick is an exact epoch boundary for everything this
+    // summarizer staged and every feeder already flushed: drain first, then
+    // tick — otherwise staged updates would age under the wrong epoch.
+    // (Feeders still holding staged runs on other threads follow the raw
+    // engine's discipline: their updates belong to the epoch of their flush.)
+
     void tick(std::uint64_t epochs) override {
-        flush();
-        engine_.advance_epoch(epochs);
-        now_ += epochs;
+        if constexpr (Sharded) {
+            flush();
+            state_.engine.advance_epoch(epochs);
+            state_.now += epochs;
+        } else {
+            state_.tick(epochs);
+        }
     }
-    std::uint64_t now() const override { return now_; }
+    std::uint64_t now() const override {
+        if constexpr (Sharded) {
+            return state_.now;
+        } else {
+            return clock_of(state_);
+        }
+    }
 
-    // With the snapshot service on, queries answer from the cached
-    // double-buffered view (engine/snapshot_service.h); otherwise each call
-    // folds a fresh O(k·S) snapshot on this thread — cache one per query
-    // batch through snapshot() when querying many ids without the service.
+    // --- cached read path (sharded only; a standalone summary keeps the
+    // base's rejection and reads as off) ---------------------------------------
+
     void enable_snapshot_service(std::chrono::microseconds interval) override {
-        engine_.enable_snapshot_service(interval);
+        if constexpr (Sharded) {
+            state_.engine.enable_snapshot_service(interval);
+        } else {
+            summarizer_impl::enable_snapshot_service(interval);
+        }
     }
-    void disable_snapshot_service() override { engine_.disable_snapshot_service(); }
+    void disable_snapshot_service() override {
+        if constexpr (Sharded) {
+            state_.engine.disable_snapshot_service();
+        }
+    }
     bool snapshot_service_enabled() const noexcept override {
-        return engine_.snapshot_service_enabled();
+        if constexpr (Sharded) {
+            return state_.engine.snapshot_service_enabled();
+        } else {
+            return false;
+        }
     }
-    std::uint64_t snapshot_epoch() const override { return engine_.snapshot_epoch(); }
+    std::uint64_t snapshot_epoch() const override {
+        if constexpr (Sharded) {
+            return state_.engine.snapshot_epoch();
+        } else {
+            return 0;
+        }
+    }
 
-    double estimate(std::uint64_t id) const override {
-        return with_view([&](const Sketch& s) {
-            return static_cast<double>(s.estimate(id));
-        });
-    }
-    double lower_bound(std::uint64_t id) const override {
-        return with_view([&](const Sketch& s) {
-            return static_cast<double>(s.lower_bound(id));
-        });
-    }
-    double upper_bound(std::uint64_t id) const override {
-        return with_view([&](const Sketch& s) {
-            return static_cast<double>(s.upper_bound(id));
-        });
-    }
-    double estimate(std::string_view) const override { wrong_key_kind("u64", "text"); }
-    double lower_bound(std::string_view) const override { wrong_key_kind("u64", "text"); }
-    double upper_bound(std::string_view) const override { wrong_key_kind("u64", "text"); }
+    // --- point queries -------------------------------------------------------
+
+    double estimate(std::uint64_t id) const override { return point(id, estimate_of); }
+    double estimate(std::string_view item) const override { return point(item, estimate_of); }
+    double lower_bound(std::uint64_t id) const override { return point(id, lower_of); }
+    double lower_bound(std::string_view item) const override { return point(item, lower_of); }
+    double upper_bound(std::uint64_t id) const override { return point(id, upper_of); }
+    double upper_bound(std::string_view item) const override { return point(item, upper_of); }
 
     double total_weight() const override {
-        return with_view([](const Sketch& s) {
-            return static_cast<double>(s.total_weight());
-        });
+        return with_view([](const Sketch& s) { return static_cast<double>(s.total_weight()); });
     }
     double maximum_error() const override {
-        return with_view([](const Sketch& s) {
-            return static_cast<double>(s.maximum_error());
-        });
+        return with_view([](const Sketch& s) { return static_cast<double>(s.maximum_error()); });
     }
     std::uint32_t num_counters() const override {
         return with_view([](const Sketch& s) {
             return static_cast<std::uint32_t>(s.num_counters());
         });
     }
-    std::uint32_t capacity() const override { return desc_.sketch.max_counters; }
+    /// A sharded summary reports its per-shard k without folding a view.
+    std::uint32_t capacity() const override {
+        if constexpr (Sharded) {
+            return desc_.sketch.max_counters;
+        } else {
+            return state_.capacity();
+        }
+    }
     std::size_t memory_bytes() const override {
         return with_view([&](const Sketch& s) {
-            return s.memory_bytes() * engine_.num_shards();
+            // Counter tables exist once per shard; a text view's dictionary
+            // is already the *union* of the per-shard slices, so it counts
+            // once.
+            std::size_t dict = 0;
+            if constexpr (text_keys) {
+                dict = s.dictionary().memory_bytes();
+            }
+            return (s.memory_bytes() - dict) * num_shards() + dict;
         });
     }
 
+    // --- set queries ---------------------------------------------------------
+
     result_set frequent_items(error_mode mode, double threshold) const override {
-        return with_view([&](const Sketch& snap) {
-            auto rows =
-                u64_rows(snap.frequent_items(mode, facade_threshold<W>(threshold)));
-            const double err =
-                result_error(static_cast<double>(snap.maximum_error()), rows);
-            return result_set(mode, threshold,
-                              static_cast<double>(snap.total_weight()), err,
-                              std::move(rows));
+        return with_view([&](const Sketch& s) {
+            return result_of(s, mode, threshold,
+                             s.frequent_items(mode, facade_threshold<W>(threshold)));
         });
     }
     result_set top_items(std::size_t m) const override {
-        return with_view([&](const Sketch& snap) {
-            auto rows = u64_rows(snap.top_items(m));
-            const double err =
-                result_error(static_cast<double>(snap.maximum_error()), rows);
-            return result_set(error_mode::no_false_negatives, 0.0,
-                              static_cast<double>(snap.total_weight()), err,
-                              std::move(rows));
+        return with_view([&](const Sketch& s) {
+            return result_of(s, error_mode::no_false_negatives, 0.0, top_rows(s, m));
         });
     }
+
+    // --- serde / merge / snapshot --------------------------------------------
 
     // The documented save() contract is a *stream-complete* standalone
-    // summary: drain the internal producer and the rings before folding.
-    // With the service on, flush() already republished a stream-complete
-    // view — serialize from it instead of folding a second time.
+    // summary: a sharded one drains its internal producer and the rings
+    // first. With the service on, flush() already republished a
+    // stream-complete view, which with_view serializes instead of folding a
+    // second time. Text images are canonical (one unioned dictionary
+    // segment), byte-identical to what the restored standalone summary
+    // re-saves.
     summary_bytes save() override {
         flush();
-        if (engine_.snapshot_service_enabled()) {
-            return envelope_save(*engine_.acquire_snapshot());
-        }
-        return envelope_save(engine_.snapshot());
+        return with_view([](const Sketch& s) { return envelope_save(s); });
     }
 
-    void merge_from(const summarizer_impl&) override {
-        FREQ_REQUIRE(false,
-                     "sharded summarizers ingest through feeders; merge their "
-                     "snapshot() instead");
+    void merge_from([[maybe_unused]] const summarizer_impl& other) override {
+        if constexpr (Sharded) {
+            FREQ_REQUIRE(false,
+                         "sharded summarizers ingest through feeders; merge their "
+                         "snapshot() instead");
+        } else {
+            const auto* peer = dynamic_cast<const facade_summary*>(&other);
+            FREQ_REQUIRE(peer != nullptr && peer != this,
+                         "merge requires a distinct standalone summarizer of the same "
+                         "instantiation (snapshot() a sharded one first)");
+            require_merge_compatible(desc_, peer->desc_);
+            state_.merge(peer->state_);
+        }
     }
 
     std::unique_ptr<summarizer_impl> snapshot() const override {
-        return std::make_unique<u64_summarizer<Sketch>>(desc_, engine_.snapshot());
+        if constexpr (Sharded) {
+            return std::make_unique<facade_summary<Sketch, false>>(desc_,
+                                                                   state_.engine.snapshot());
+        } else {
+            return std::make_unique<facade_summary>(desc_, state_);
+        }
     }
 
     std::string to_string() const override {
-        const auto st = engine_.stats();
-        return "sharded_summarizer(shards=" + std::to_string(engine_.num_shards()) +
-               ", k=" + std::to_string(desc_.sketch.max_counters) +
-               ", applied=" + std::to_string(st.updates_applied) +
-               ", stalls=" + std::to_string(st.ring_full_stalls) + ")";
+        if constexpr (Sharded) {
+            const auto st = state_.engine.stats();
+            std::string out = "sharded_summarizer(shards=";
+            out += std::to_string(state_.engine.num_shards());
+            out += ", k=" + std::to_string(desc_.sketch.max_counters);
+            out += ", applied=" + std::to_string(st.updates_applied);
+            if constexpr (text_keys) {
+                out += ", spellings=" + std::to_string(st.spellings_applied);
+            }
+            out += ", stalls=" + std::to_string(st.ring_full_stalls) + ")";
+            return out;
+        } else {
+            return state_.to_string();
+        }
     }
 
 private:
+    static constexpr bool text_keys = summary_traits<Sketch>::keys == key_kind::text;
+    static constexpr bool map_backed = summary_traits<Sketch>::backend == backend_kind::map;
+
+    static constexpr auto estimate_of = [](const Sketch& s, auto key) {
+        return s.estimate(key);
+    };
+    static constexpr auto lower_of = [](const Sketch& s, auto key) {
+        return s.lower_bound(key);
+    };
+    static constexpr auto upper_of = [](const Sketch& s, auto key) {
+        return s.upper_bound(key);
+    };
+
+    /// Runs \p f on \p key when its type fits this summary's key kind —
+    /// string views for text summaries, ids and update spans for u64 ones —
+    /// and rejects the call otherwise: the one place a key-kind mismatch is
+    /// caught, for updates, point queries and feeder pushes alike.
+    template <typename R, typename Key, typename F>
+    static R keyed([[maybe_unused]] Key key, [[maybe_unused]] F&& f) {
+        if constexpr (std::is_same_v<Key, std::string_view> == text_keys) {
+            return f(key);
+        } else {
+            wrong_key_kind(text_keys ? "text" : "u64", text_keys ? "u64" : "text");
+        }
+    }
+
+    /// A feeder over one engine producer (sharded summaries only).
     class engine_feeder final : public feeder_impl {
     public:
         explicit engine_feeder(typename engine_type::producer p) : producer_(std::move(p)) {}
-        void push(std::uint64_t id, double weight) override {
-            producer_.push(id, facade_weight<W>(weight));
-        }
-        void push(std::string_view, double) override { wrong_key_kind("u64", "text"); }
+        void push(std::uint64_t id, double weight) override { push_key(id, weight); }
+        void push(std::string_view item, double weight) override { push_key(item, weight); }
         void flush() override { producer_.flush(); }
 
     private:
+        template <typename Key>
+        void push_key(Key key, double weight) {
+            keyed<void>(key, [&](auto k) { producer_.push(k, facade_weight<W>(weight)); });
+        }
+
         typename engine_type::producer producer_;
     };
 
-    typename engine_type::producer& main() {
-        if (!main_.has_value()) {
-            main_.emplace(engine_.make_producer());
-        }
-        return *main_;
+    /// A sharded summary's state: the engine, the lazily created producer
+    /// behind update() and the façade's epoch clock.
+    struct engine_state {
+        explicit engine_state(const engine_config& cfg) : engine(cfg) {}
+
+        engine_type engine;
+        std::optional<typename engine_type::producer> main;
+        std::uint64_t now = 0;
+    };
+
+    template <typename Key>
+    void update_key(Key key, double weight) {
+        keyed<void>(key, [&](auto k) { ingest(k, facade_weight<W>(weight)); });
     }
 
-    /// Runs \p f over the freshest consistent view: the cached published
-    /// snapshot when the service is on (pinned for the duration of the
-    /// call), a fold-on-demand snapshot otherwise.
+    /// One ingest step: the sketch itself when standalone, the internal
+    /// producer when sharded.
+    template <typename... Args>
+    void ingest(const Args&... args) {
+        if constexpr (Sharded) {
+            if (!state_.main.has_value()) {
+                state_.main.emplace(state_.engine.make_producer());
+            }
+            state_.main->push(args...);
+        } else {
+            state_.update(args...);
+        }
+    }
+
+    template <typename Key, typename Read>
+    double point(Key key, Read read) const {
+        return keyed<double>(key, [&](auto k) {
+            return with_view([&](const Sketch& s) { return static_cast<double>(read(s, k)); });
+        });
+    }
+
+    /// Runs \p f over the freshest consistent view: the sketch itself when
+    /// standalone. Sharded, the cached published snapshot when the service
+    /// is on (pinned for the duration of the call), otherwise a fresh
+    /// O(k·S) fold on this thread — cache one per query batch through
+    /// snapshot() when querying many ids without the service.
     template <typename F>
     auto with_view(F&& f) const {
-        if (engine_.snapshot_service_enabled()) {
-            const auto view = engine_.acquire_snapshot();
-            return f(*view);
+        if constexpr (Sharded) {
+            if (state_.engine.snapshot_service_enabled()) {
+                const auto view = state_.engine.acquire_snapshot();
+                return f(*view);
+            }
+            const Sketch snap = state_.engine.snapshot();
+            return f(snap);
+        } else {
+            return f(state_);
         }
-        const Sketch snap = engine_.snapshot();
-        return f(snap);
+    }
+
+    std::size_t num_shards() const {
+        if constexpr (Sharded) {
+            return state_.engine.num_shards();
+        } else {
+            return 1;
+        }
+    }
+
+    static auto top_rows(const Sketch& s, std::size_t m) {
+        if constexpr (map_backed) {
+            // The map core has no top_items(); every tracked item clears an
+            // upper-bound threshold of 0, and rows arrive estimate-sorted.
+            auto rows = s.frequent_items(error_mode::no_false_negatives, W{0});
+            if (rows.size() > m) {
+                rows.resize(m);
+            }
+            return rows;
+        } else {
+            return s.top_items(m);
+        }
+    }
+
+    template <typename Rows>
+    static result_set result_of(const Sketch& s, error_mode mode, double threshold,
+                                const Rows& core_rows) {
+        auto rows = facade_rows(core_rows);
+        const double err = result_error(static_cast<double>(s.maximum_error()), rows);
+        return result_set(mode, threshold, static_cast<double>(s.total_weight()), err,
+                          std::move(rows));
     }
 
     summary_descriptor desc_;
-    engine_type engine_;
-    std::optional<typename engine_type::producer> main_;  ///< scalar-update handle
-    std::uint64_t now_ = 0;
+    std::conditional_t<Sharded, engine_state, Sketch> state_;
 };
 
-// --- engine-sharded text-keyed summaries -------------------------------------
+// --- the instantiation table -------------------------------------------------
 
-/// The sharded text path: producers fingerprint keys and feed the engine's
-/// ring hot path, each shard owns its spelling-dictionary slice, and every
-/// read view (fold-on-demand or the cached published snapshot) is a full
-/// string summary — so estimate("alice") and top_items() answer with
-/// spellings straight off the view.
+template <typename... Sketches>
+struct sketch_list {};
+
 template <typename W, typename L>
-class engine_text_summarizer final : public summarizer_impl {
-public:
-    using sketch_type = string_frequent_items<W, L>;
-    using engine_type = stream_engine<std::uint64_t, W, sketch_type>;
+using map_frequent_items = generic_frequent_items<std::uint64_t, W, std::hash<std::uint64_t>,
+                                                  std::equal_to<std::uint64_t>, L>;
 
-    engine_text_summarizer(summary_descriptor desc, const engine_config& cfg)
-        : desc_(std::move(desc)), engine_(cfg) {}
+/// Every summary instantiation the façade materializes, each named by its
+/// summary_traits tags: the one descriptor -> type table behind
+/// builder::build() (standalone and sharded) and restore_summary.
+using facade_sketches = sketch_list<
+    // The paper sketch, table storage: u64 and text keys, every lifetime.
+    basic_frequent_items<std::uint64_t, std::uint64_t, plain_lifetime>,
+    basic_frequent_items<std::uint64_t, double, plain_lifetime>,
+    basic_frequent_items<std::uint64_t, double, exponential_fading>,
+    basic_frequent_items<std::uint64_t, std::uint64_t, epoch_window>,
+    basic_frequent_items<std::uint64_t, double, epoch_window>,
+    string_frequent_items<std::uint64_t, plain_lifetime>,
+    string_frequent_items<double, plain_lifetime>,
+    string_frequent_items<double, exponential_fading>,
+    string_frequent_items<std::uint64_t, epoch_window>,
+    string_frequent_items<double, epoch_window>,
+    // The paper sketch, map storage: u64 keys, no window.
+    map_frequent_items<std::uint64_t, plain_lifetime>,
+    map_frequent_items<double, plain_lifetime>,
+    map_frequent_items<double, exponential_fading>,
+    // The baselines: u64 keys, table storage, no window.
+    count_min_summary<std::uint64_t, plain_lifetime>,
+    count_min_summary<double, plain_lifetime>,
+    count_min_summary<double, exponential_fading>,
+    count_sketch_summary,
+    space_saving_summary<std::uint64_t, plain_lifetime>,
+    space_saving_summary<double, plain_lifetime>,
+    space_saving_summary<double, exponential_fading>>;
 
-    const summary_descriptor& descriptor() const noexcept override { return desc_; }
-    bool sharded() const noexcept override { return true; }
-
-    void update(std::uint64_t, double) override { wrong_key_kind("text", "u64"); }
-    void update(std::string_view item, double weight) override {
-        main().push(item, facade_weight<W>(weight));
-    }
-    void update(std::span<const update64>) override { wrong_key_kind("text", "u64"); }
-    std::unique_ptr<feeder_impl> make_feeder() override {
-        return std::make_unique<engine_feeder>(engine_.make_producer());
-    }
-    void flush() override {
-        if (main_.has_value()) {
-            main_->flush();
-        }
-        engine_.flush();
-    }
-
-    // Same epoch discipline as the u64 engine summarizer: drain first, then
-    // tick, so staged updates age under the epoch they were pushed in.
-    void tick(std::uint64_t epochs) override {
-        flush();
-        engine_.advance_epoch(epochs);
-        now_ += epochs;
-    }
-    std::uint64_t now() const override { return now_; }
-
-    void enable_snapshot_service(std::chrono::microseconds interval) override {
-        engine_.enable_snapshot_service(interval);
-    }
-    void disable_snapshot_service() override { engine_.disable_snapshot_service(); }
-    bool snapshot_service_enabled() const noexcept override {
-        return engine_.snapshot_service_enabled();
-    }
-    std::uint64_t snapshot_epoch() const override { return engine_.snapshot_epoch(); }
-
-    double estimate(std::uint64_t) const override { wrong_key_kind("text", "u64"); }
-    double lower_bound(std::uint64_t) const override { wrong_key_kind("text", "u64"); }
-    double upper_bound(std::uint64_t) const override { wrong_key_kind("text", "u64"); }
-    double estimate(std::string_view item) const override {
-        return with_view([&](const sketch_type& s) {
-            return static_cast<double>(s.estimate(item));
-        });
-    }
-    double lower_bound(std::string_view item) const override {
-        return with_view([&](const sketch_type& s) {
-            return static_cast<double>(s.lower_bound(item));
-        });
-    }
-    double upper_bound(std::string_view item) const override {
-        return with_view([&](const sketch_type& s) {
-            return static_cast<double>(s.upper_bound(item));
-        });
-    }
-
-    double total_weight() const override {
-        return with_view([](const sketch_type& s) {
-            return static_cast<double>(s.total_weight());
-        });
-    }
-    double maximum_error() const override {
-        return with_view([](const sketch_type& s) {
-            return static_cast<double>(s.maximum_error());
-        });
-    }
-    std::uint32_t num_counters() const override {
-        return with_view([](const sketch_type& s) { return s.num_counters(); });
-    }
-    std::uint32_t capacity() const override { return desc_.sketch.max_counters; }
-    std::size_t memory_bytes() const override {
-        return with_view([&](const sketch_type& s) {
-            // Counter tables exist once per shard; the view's dictionary is
-            // already the *union* of the per-shard slices, so count it once.
-            const std::size_t dict = s.dictionary().memory_bytes();
-            return (s.memory_bytes() - dict) * engine_.num_shards() + dict;
-        });
-    }
-
-    result_set frequent_items(error_mode mode, double threshold) const override {
-        return with_view([&](const sketch_type& snap) {
-            auto rows =
-                text_rows(snap.frequent_items(mode, facade_threshold<W>(threshold)));
-            const double err =
-                result_error(static_cast<double>(snap.maximum_error()), rows);
-            return result_set(mode, threshold,
-                              static_cast<double>(snap.total_weight()), err,
-                              std::move(rows));
-        });
-    }
-    result_set top_items(std::size_t m) const override {
-        return with_view([&](const sketch_type& snap) {
-            auto rows = text_rows(snap.top_items(m));
-            const double err =
-                result_error(static_cast<double>(snap.maximum_error()), rows);
-            return result_set(error_mode::no_false_negatives, 0.0,
-                              static_cast<double>(snap.total_weight()), err,
-                              std::move(rows));
-        });
-    }
-
-    // Stream-complete canonical image (single unioned dictionary segment),
-    // byte-identical to what the restored standalone summary re-saves.
-    summary_bytes save() override {
-        flush();
-        if (engine_.snapshot_service_enabled()) {
-            return envelope_save(*engine_.acquire_snapshot());
-        }
-        return envelope_save(engine_.snapshot());
-    }
-
-    void merge_from(const summarizer_impl&) override {
-        FREQ_REQUIRE(false,
-                     "sharded summarizers ingest through feeders; merge their "
-                     "snapshot() instead");
-    }
-
-    std::unique_ptr<summarizer_impl> snapshot() const override {
-        return std::make_unique<text_summarizer<W, L>>(desc_, engine_.snapshot());
-    }
-
-    std::string to_string() const override {
-        const auto st = engine_.stats();
-        return "sharded_text_summarizer(shards=" + std::to_string(engine_.num_shards()) +
-               ", k=" + std::to_string(desc_.sketch.max_counters) +
-               ", applied=" + std::to_string(st.updates_applied) +
-               ", spellings=" + std::to_string(st.spellings_applied) +
-               ", stalls=" + std::to_string(st.ring_full_stalls) + ")";
-    }
-
-private:
-    class engine_feeder final : public feeder_impl {
-    public:
-        explicit engine_feeder(typename engine_type::producer p) : producer_(std::move(p)) {}
-        void push(std::uint64_t, double) override { wrong_key_kind("text", "u64"); }
-        void push(std::string_view item, double weight) override {
-            producer_.push(item, facade_weight<W>(weight));
-        }
-        void flush() override { producer_.flush(); }
-
-    private:
-        typename engine_type::producer producer_;
-    };
-
-    typename engine_type::producer& main() {
-        if (!main_.has_value()) {
-            main_.emplace(engine_.make_producer());
-        }
-        return *main_;
-    }
-
-    template <typename F>
-    auto with_view(F&& f) const {
-        if (engine_.snapshot_service_enabled()) {
-            const auto view = engine_.acquire_snapshot();
-            return f(*view);
-        }
-        const sketch_type snap = engine_.snapshot();
-        return f(snap);
-    }
-
-    summary_descriptor desc_;
-    engine_type engine_;
-    std::optional<typename engine_type::producer> main_;  ///< scalar-update handle
-    std::uint64_t now_ = 0;
-};
+/// Calls \p f with std::type_identity<Sketch> for the facade_sketches entry
+/// whose tags \p d names and returns the summary it makes. Throws for a
+/// descriptor no entry serves.
+template <typename F>
+std::unique_ptr<summarizer_impl> with_sketch_type(const summary_descriptor& d, F&& f) {
+    return [&]<typename... S>(sketch_list<S...>) {
+        std::unique_ptr<summarizer_impl> out;
+        const auto visit = [&]<typename T>(std::type_identity<T> tag) {
+            if (descriptor_names<T>(d)) {
+                out = f(tag);
+            }
+        };
+        (visit(std::type_identity<S>{}), ...);
+        FREQ_REQUIRE(out != nullptr, "no summary instantiation serves this descriptor");
+        return out;
+    }(facade_sketches{});
+}
 
 }  // namespace detail
 
@@ -885,12 +717,6 @@ public:
         backend_ = s;
         return *this;
     }
-    /// \deprecated Spelling kept for source compatibility; use
-    /// `storage(freq::storage::table)`.
-    builder& table_backend() { return storage(freq::storage::table); }
-    /// \deprecated Spelling kept for source compatibility; use
-    /// `storage(freq::storage::map)`.
-    builder& map_backend() { return storage(freq::storage::map); }
 
     // --- engine sharding -----------------------------------------------------
 
@@ -995,7 +821,14 @@ public:
             // the summarizer's internal scalar-update producer, so calling
             // update() never consumes a feeder slot.
             ecfg.num_producers += 1;
-            summarizer s(make_engine(d, ecfg));
+            summarizer s(detail::with_sketch_type(d, [&](auto tag) {
+                using S = typename decltype(tag)::type;
+                if constexpr (summary_traits<S>::backend == backend_kind::table) {
+                    return std::make_unique<detail::facade_summary<S, true>>(d, ecfg);
+                } else {
+                    return nullptr;  // the map storage never shards (rejected above)
+                }
+            }));
             if (snapshot_interval_.has_value()) {
                 s.enable_snapshot_service(*snapshot_interval_);
             }
@@ -1004,7 +837,12 @@ public:
         // Standalone summaries get the hugepage half of the hints; NUMA
         // locality is moot (the sketch lives wherever the caller's thread
         // first-touches it).
-        return summarizer(make_standalone(d, mem::placement{hugepages_, -1}));
+        const mem::placement place{hugepages_, -1};
+        return summarizer(detail::with_sketch_type(d, [&](auto tag) {
+            using S = typename decltype(tag)::type;
+            return std::make_unique<detail::facade_summary<S, false>>(
+                d, construct_sketch<S>(d.sketch, place));
+        }));
     }
 
 private:
@@ -1019,175 +857,6 @@ private:
         } else {
             (void)place;
             return Sketch(cfg);
-        }
-    }
-
-    template <typename Sketch>
-    static std::unique_ptr<detail::summarizer_impl> standalone(
-        const summary_descriptor& d, const mem::placement& place) {
-        return std::make_unique<detail::u64_summarizer<Sketch>>(
-            d, construct_sketch<Sketch>(d.sketch, place));
-    }
-
-    template <typename W, typename L>
-    static std::unique_ptr<detail::summarizer_impl> text(const summary_descriptor& d,
-                                                         const mem::placement& place) {
-        return std::make_unique<detail::text_summarizer<W, L>>(
-            d, string_frequent_items<W, L>(d.sketch, place));
-    }
-
-    template <typename W, typename L>
-    static std::unique_ptr<detail::summarizer_impl> map(const summary_descriptor& d,
-                                                        const mem::placement& place) {
-        using sketch_type = generic_frequent_items<std::uint64_t, W, std::hash<std::uint64_t>,
-                                                   std::equal_to<std::uint64_t>, L>;
-        return std::make_unique<detail::u64_summarizer<sketch_type>>(
-            d, construct_sketch<sketch_type>(d.sketch, place));
-    }
-
-    template <typename Sketch>
-    static std::unique_ptr<detail::summarizer_impl> engine_impl(const summary_descriptor& d,
-                                                                const engine_config& cfg) {
-        return std::make_unique<detail::engine_summarizer<Sketch>>(d, cfg);
-    }
-
-    template <typename W, typename L>
-    static std::unique_ptr<detail::summarizer_impl> engine_text(const summary_descriptor& d,
-                                                                const engine_config& cfg) {
-        return std::make_unique<detail::engine_text_summarizer<W, L>>(d, cfg);
-    }
-
-    /// Baseline-algorithm instantiations (u64 keys, table storage, plain or
-    /// — for count_min / space_saving — fading; build() vetted the combo).
-    static std::unique_ptr<detail::summarizer_impl> make_baseline(
-        const summary_descriptor& d, const mem::placement& place) {
-        const bool real = d.weights == weight_kind::real;
-        switch (d.algorithm) {
-            case algo::count_min:
-                if (d.lifetime == lifetime_kind::fading) {
-                    return standalone<count_min_summary<double, exponential_fading>>(d, place);
-                }
-                return real
-                           ? standalone<count_min_summary<double, plain_lifetime>>(d, place)
-                           : standalone<count_min_summary<std::uint64_t, plain_lifetime>>(d, place);
-            case algo::count_sketch:
-                return standalone<count_sketch_summary>(d, place);
-            default:  // algo::space_saving
-                if (d.lifetime == lifetime_kind::fading) {
-                    return standalone<space_saving_summary<double, exponential_fading>>(d, place);
-                }
-                return real ? standalone<space_saving_summary<double, plain_lifetime>>(d, place)
-                            : standalone<
-                                  space_saving_summary<std::uint64_t, plain_lifetime>>(d, place);
-        }
-    }
-
-    static std::unique_ptr<detail::summarizer_impl> engine_baseline(
-        const summary_descriptor& d, const engine_config& cfg) {
-        const bool real = d.weights == weight_kind::real;
-        switch (d.algorithm) {
-            case algo::count_min:
-                if (d.lifetime == lifetime_kind::fading) {
-                    return engine_impl<count_min_summary<double, exponential_fading>>(d,
-                                                                                      cfg);
-                }
-                return real ? engine_impl<count_min_summary<double, plain_lifetime>>(d, cfg)
-                            : engine_impl<count_min_summary<std::uint64_t, plain_lifetime>>(
-                                  d, cfg);
-            case algo::count_sketch:
-                return engine_impl<count_sketch_summary>(d, cfg);
-            default:  // algo::space_saving
-                if (d.lifetime == lifetime_kind::fading) {
-                    return engine_impl<space_saving_summary<double, exponential_fading>>(
-                        d, cfg);
-                }
-                return real
-                           ? engine_impl<space_saving_summary<double, plain_lifetime>>(d, cfg)
-                           : engine_impl<
-                                 space_saving_summary<std::uint64_t, plain_lifetime>>(d, cfg);
-        }
-    }
-
-    static std::unique_ptr<detail::summarizer_impl> make_standalone(
-        const summary_descriptor& d, const mem::placement& place) {
-        if (d.algorithm != algo::paper) {
-            return make_baseline(d, place);
-        }
-        const bool real = d.weights == weight_kind::real;
-        switch (d.keys) {
-            case key_kind::u64:
-                if (d.backend == backend_kind::map) {
-                    switch (d.lifetime) {
-                        case lifetime_kind::plain:
-                            return real ? map<double, plain_lifetime>(d, place)
-                                        : map<std::uint64_t, plain_lifetime>(d, place);
-                        default:
-                            return map<double, exponential_fading>(d, place);
-                    }
-                }
-                switch (d.lifetime) {
-                    case lifetime_kind::plain:
-                        return real ? standalone<basic_frequent_items<
-                                          std::uint64_t, double, plain_lifetime>>(d, place)
-                                    : standalone<basic_frequent_items<
-                                          std::uint64_t, std::uint64_t, plain_lifetime>>(d, place);
-                    case lifetime_kind::fading:
-                        return standalone<
-                            basic_frequent_items<std::uint64_t, double, exponential_fading>>(
-                            d, place);
-                    default:
-                        return real ? standalone<basic_frequent_items<std::uint64_t, double,
-                                                                      epoch_window>>(d, place)
-                                    : standalone<basic_frequent_items<
-                                          std::uint64_t, std::uint64_t, epoch_window>>(d, place);
-                }
-            default:
-                switch (d.lifetime) {
-                    case lifetime_kind::plain:
-                        return real ? text<double, plain_lifetime>(d, place)
-                                    : text<std::uint64_t, plain_lifetime>(d, place);
-                    case lifetime_kind::fading:
-                        return text<double, exponential_fading>(d, place);
-                    default:
-                        return real ? text<double, epoch_window>(d, place)
-                                    : text<std::uint64_t, epoch_window>(d, place);
-                }
-        }
-    }
-
-    static std::unique_ptr<detail::summarizer_impl> make_engine(
-        const summary_descriptor& d, const engine_config& cfg) {
-        if (d.algorithm != algo::paper) {
-            return engine_baseline(d, cfg);
-        }
-        const bool real = d.weights == weight_kind::real;
-        if (d.keys == key_kind::text) {
-            switch (d.lifetime) {
-                case lifetime_kind::plain:
-                    return real ? engine_text<double, plain_lifetime>(d, cfg)
-                                : engine_text<std::uint64_t, plain_lifetime>(d, cfg);
-                case lifetime_kind::fading:
-                    return engine_text<double, exponential_fading>(d, cfg);
-                default:
-                    return real ? engine_text<double, epoch_window>(d, cfg)
-                                : engine_text<std::uint64_t, epoch_window>(d, cfg);
-            }
-        }
-        switch (d.lifetime) {
-            case lifetime_kind::plain:
-                return real
-                           ? engine_impl<basic_frequent_items<std::uint64_t, double,
-                                                              plain_lifetime>>(d, cfg)
-                           : engine_impl<basic_frequent_items<std::uint64_t, std::uint64_t,
-                                                              plain_lifetime>>(d, cfg);
-            case lifetime_kind::fading:
-                return engine_impl<basic_frequent_items<std::uint64_t, double,
-                                                        exponential_fading>>(d, cfg);
-            default:
-                return real ? engine_impl<basic_frequent_items<std::uint64_t, double,
-                                                               epoch_window>>(d, cfg)
-                            : engine_impl<basic_frequent_items<std::uint64_t, std::uint64_t,
-                                                               epoch_window>>(d, cfg);
         }
     }
 
@@ -1212,102 +881,11 @@ private:
 inline summarizer restore_summary(const summary_bytes& b,
                                   std::uint32_t max_accepted_counters = 1u << 28) {
     const summary_descriptor& d = b.descriptor();
-    const bool real = d.weights == weight_kind::real;
-    auto u64_impl = [&](auto tag) -> std::unique_ptr<detail::summarizer_impl> {
-        using sketch_type = typename decltype(tag)::type;
-        return std::make_unique<detail::u64_summarizer<sketch_type>>(
-            d, envelope_load<sketch_type>(b, max_accepted_counters));
-    };
-    auto text_impl = [&](auto tag) -> std::unique_ptr<detail::summarizer_impl> {
-        using sketch_type = typename decltype(tag)::type;
-        return std::make_unique<detail::text_summarizer<
-            typename sketch_type::weight_type, typename sketch_type::lifetime_policy>>(
-            d, envelope_load<sketch_type>(b, max_accepted_counters));
-    };
-    // The algorithm tag routes first: baseline envelopes are always
-    // u64-keyed and table-stored (parse_header enforced the combination).
-    if (d.algorithm != algo::paper) {
-        switch (d.algorithm) {
-            case algo::count_min:
-                if (d.lifetime == lifetime_kind::fading) {
-                    return summarizer(u64_impl(
-                        std::type_identity<count_min_summary<double, exponential_fading>>{}));
-                }
-                return summarizer(
-                    real ? u64_impl(std::type_identity<
-                                    count_min_summary<double, plain_lifetime>>{})
-                         : u64_impl(std::type_identity<
-                                    count_min_summary<std::uint64_t, plain_lifetime>>{}));
-            case algo::count_sketch:
-                return summarizer(u64_impl(std::type_identity<count_sketch_summary>{}));
-            default:  // algo::space_saving
-                if (d.lifetime == lifetime_kind::fading) {
-                    return summarizer(u64_impl(std::type_identity<
-                                               space_saving_summary<double,
-                                                                    exponential_fading>>{}));
-                }
-                return summarizer(
-                    real ? u64_impl(std::type_identity<
-                                    space_saving_summary<double, plain_lifetime>>{})
-                         : u64_impl(std::type_identity<
-                                    space_saving_summary<std::uint64_t, plain_lifetime>>{}));
-        }
-    }
-    if (d.keys == key_kind::u64 && d.backend == backend_kind::map) {
-        switch (d.lifetime) {
-            case lifetime_kind::plain:
-                return summarizer(
-                    real ? u64_impl(std::type_identity<generic_frequent_items<
-                                        std::uint64_t, double, std::hash<std::uint64_t>,
-                                        std::equal_to<std::uint64_t>, plain_lifetime>>{})
-                         : u64_impl(std::type_identity<generic_frequent_items<
-                                        std::uint64_t, std::uint64_t,
-                                        std::hash<std::uint64_t>,
-                                        std::equal_to<std::uint64_t>, plain_lifetime>>{}));
-            default:
-                return summarizer(
-                    u64_impl(std::type_identity<generic_frequent_items<
-                                 std::uint64_t, double, std::hash<std::uint64_t>,
-                                 std::equal_to<std::uint64_t>, exponential_fading>>{}));
-        }
-    }
-    if (d.keys == key_kind::u64) {
-        switch (d.lifetime) {
-            case lifetime_kind::plain:
-                return summarizer(
-                    real ? u64_impl(std::type_identity<basic_frequent_items<
-                                        std::uint64_t, double, plain_lifetime>>{})
-                         : u64_impl(std::type_identity<basic_frequent_items<
-                                        std::uint64_t, std::uint64_t, plain_lifetime>>{}));
-            case lifetime_kind::fading:
-                return summarizer(u64_impl(
-                    std::type_identity<basic_frequent_items<std::uint64_t, double,
-                                                            exponential_fading>>{}));
-            default:
-                return summarizer(
-                    real ? u64_impl(std::type_identity<basic_frequent_items<
-                                        std::uint64_t, double, epoch_window>>{})
-                         : u64_impl(std::type_identity<basic_frequent_items<
-                                        std::uint64_t, std::uint64_t, epoch_window>>{}));
-        }
-    }
-    switch (d.lifetime) {
-        case lifetime_kind::plain:
-            return summarizer(
-                real ? text_impl(
-                           std::type_identity<string_frequent_items<double, plain_lifetime>>{})
-                     : text_impl(std::type_identity<
-                                 string_frequent_items<std::uint64_t, plain_lifetime>>{}));
-        case lifetime_kind::fading:
-            return summarizer(text_impl(
-                std::type_identity<string_frequent_items<double, exponential_fading>>{}));
-        default:
-            return summarizer(
-                real ? text_impl(
-                           std::type_identity<string_frequent_items<double, epoch_window>>{})
-                     : text_impl(std::type_identity<
-                                 string_frequent_items<std::uint64_t, epoch_window>>{}));
-    }
+    return summarizer(detail::with_sketch_type(d, [&](auto tag) {
+        using S = typename decltype(tag)::type;
+        return std::make_unique<detail::facade_summary<S, false>>(
+            d, envelope_load<S>(b, max_accepted_counters));
+    }));
 }
 
 /// Convenience overload for raw bytes fresh off the wire.

@@ -6,7 +6,9 @@
 /// is a type-erased handle to any summary instantiation — key type, weight
 /// type, lifetime policy, storage backend and optional engine sharding are
 /// all *runtime* choices made by `freq::builder` (api/builder.h) — behind a
-/// small-vtable interface a service can hold in config-driven code.
+/// small-vtable interface a service can hold in config-driven code. One
+/// class template, detail::facade_summary<Sketch, Sharded> (api/builder.h),
+/// implements that interface for every instantiation.
 ///
 /// The contract mirrors the template layer one-to-one, so nothing is lost
 /// behind the erasure:
@@ -24,9 +26,10 @@
 ///     not).
 ///
 /// Zero-overhead users keep the template layer (see freq.h for the
-/// boundary): the façade costs one virtual dispatch per call, which the
-/// batched update(span) path amortizes to nothing — BENCH_api.json records
-/// the measured gap.
+/// boundary): the façade costs one virtual dispatch per call — two plus a
+/// striped telemetry add for a per-item push through a standalone feeder —
+/// which the batched update(span) path amortizes to nothing — BENCH_api.json
+/// records the measured gap.
 
 #include <chrono>
 #include <cstddef>
@@ -56,9 +59,10 @@ struct feeder_impl {
     virtual void flush() = 0;
 };
 
-/// The erased summary behind summarizer. One concrete subclass exists per
-/// (key kind × weight kind × lifetime × backend × engine) instantiation the
-/// builder can materialize (api/builder.h).
+/// The erased summary behind summarizer. The builder and restore_summary
+/// materialize every (algorithm × key kind × weight kind × lifetime ×
+/// storage × engine) instantiation as one class template,
+/// detail::facade_summary<Sketch, Sharded> (api/builder.h).
 struct summarizer_impl {
     virtual ~summarizer_impl() = default;
 

@@ -250,6 +250,19 @@ struct summary_traits<space_saving_summary<W, L>> {
     static constexpr algo algorithm = algo::space_saving;
 };
 
+namespace detail {
+
+/// Whether \p d's tags name the instantiation \p Summary.
+template <typename Summary>
+bool descriptor_names(const summary_descriptor& d) noexcept {
+    using traits = summary_traits<Summary>;
+    return d.keys == traits::keys && d.weights == traits::weights &&
+           d.lifetime == traits::lifetime && d.backend == traits::backend &&
+           d.algorithm == traits::algorithm;
+}
+
+}  // namespace detail
+
 // --- the envelope value type -------------------------------------------------
 
 /// Owning, header-validated envelope bytes. `wrap()` checks the 48-byte
@@ -890,9 +903,7 @@ Summary envelope_load(const summary_bytes& b,
                       std::uint32_t max_accepted_counters = 1u << 28) {
     using traits = summary_traits<Summary>;
     const summary_descriptor& d = b.descriptor();
-    FREQ_REQUIRE(d.keys == traits::keys && d.weights == traits::weights &&
-                     d.lifetime == traits::lifetime && d.backend == traits::backend &&
-                     d.algorithm == traits::algorithm,
+    FREQ_REQUIRE(detail::descriptor_names<Summary>(d),
                  "envelope holds a different summary instantiation");
     FREQ_REQUIRE(d.sketch.max_counters <= max_accepted_counters,
                  "envelope capacity exceeds the caller's acceptance bound");

@@ -121,8 +121,8 @@ TEST(ApiBuilder, ConstructsAllPoliciesAndKeyKindsAtRuntime) {
 }
 
 TEST(ApiBuilder, MapBackendAndShardedVariantsConstruct) {
-    auto m1 = builder().map_backend().max_counters(32).build();
-    auto m2 = builder().map_backend().max_counters(32).fading(0.5).build();
+    auto m1 = builder().storage(storage::map).max_counters(32).build();
+    auto m2 = builder().storage(storage::map).max_counters(32).fading(0.5).build();
     auto e1 = builder().max_counters(32).sharded(2).build();
     auto e2 = builder().max_counters(32).fading(0.5).sharded(2).build();
     auto e3 = builder().max_counters(32).sliding_window(3).sharded(2).build();
@@ -138,20 +138,51 @@ TEST(ApiBuilder, MapBackendAndShardedVariantsConstruct) {
 
 TEST(ApiBuilder, InvalidCombinationsThrowPrecisely) {
     EXPECT_THROW(builder().counts().fading(0.5).build(), std::invalid_argument);
-    EXPECT_THROW(builder().map_backend().sliding_window(3).build(), std::invalid_argument);
-    EXPECT_THROW(builder().map_backend().sharded(2).build(), std::invalid_argument);
-    EXPECT_THROW(builder().text_keys().map_backend().build(), std::invalid_argument);
+    EXPECT_THROW(builder().storage(storage::map).sliding_window(3).build(), std::invalid_argument);
+    EXPECT_THROW(builder().storage(storage::map).sharded(2).build(), std::invalid_argument);
+    EXPECT_THROW(builder().text_keys().storage(storage::map).build(), std::invalid_argument);
     EXPECT_THROW(builder().max_counters(0).build(), std::invalid_argument);
     EXPECT_THROW(builder().fading(1.5).build(), std::invalid_argument);
 }
 
 TEST(ApiBuilder, KeyKindMismatchThrows) {
-    auto ids = builder().max_counters(16).build();
-    EXPECT_THROW(ids.update("text", 1.0), std::invalid_argument);
-    EXPECT_THROW((void)ids.estimate("text"), std::invalid_argument);
-    auto words = builder().text_keys().max_counters(16).build();
-    EXPECT_THROW(words.update(std::uint64_t{1}, 1.0), std::invalid_argument);
-    EXPECT_THROW((void)words.estimate(std::uint64_t{1}), std::invalid_argument);
+    // Every paired u64/text entry point rejects the other key kind, in each
+    // façade shape: u64 or text keys, standalone or sharded.
+    for (const bool text : {false, true}) {
+        for (const bool shard : {false, true}) {
+            SCOPED_TRACE(std::string(text ? "text" : "u64") +
+                         (shard ? ", sharded" : ", standalone"));
+            builder b;
+            b.keys(text ? key_kind::text : key_kind::u64).max_counters(16);
+            if (shard) {
+                b.sharded(2);
+            }
+            auto s = b.build();
+            auto feeder = s.make_feeder();
+            const auto expect_rejected = [&](auto wrong_key) {
+                EXPECT_THROW(s.update(wrong_key, 1.0), std::invalid_argument);
+                EXPECT_THROW((void)s.estimate(wrong_key), std::invalid_argument);
+                EXPECT_THROW((void)s.lower_bound(wrong_key), std::invalid_argument);
+                EXPECT_THROW((void)s.upper_bound(wrong_key), std::invalid_argument);
+                EXPECT_THROW(feeder.push(wrong_key, 1.0), std::invalid_argument);
+            };
+            const std::vector<update64> batch{update64{1, 2}};
+            if (text) {
+                expect_rejected(std::uint64_t{1});
+                EXPECT_THROW(s.update(std::span<const update64>(batch)), std::invalid_argument);
+                s.update("word", 2.0);
+                feeder.push("word", 1.0);
+            } else {
+                expect_rejected(std::string_view("word"));
+                s.update(std::span<const update64>(batch));
+                feeder.push(std::uint64_t{1}, 1.0);
+            }
+            // The rejected calls left the summary untouched; matching ones count.
+            feeder.flush();
+            s.flush();
+            EXPECT_DOUBLE_EQ(s.total_weight(), 3.0);
+        }
+    }
 }
 
 TEST(ApiBuilder, WeightValidationAtTheFacadeBoundary) {
@@ -184,7 +215,7 @@ TEST(ApiThresholdModes, PlainAgainstExactCounter) {
 
 TEST(ApiThresholdModes, MapBackendAgainstExactCounter) {
     const auto stream = test_stream(12);
-    auto s = builder().map_backend().max_counters(k).build();
+    auto s = builder().storage(storage::map).max_counters(k).build();
     exact_counter<std::uint64_t, std::uint64_t> exact;
     for (const auto& u : stream) {
         s.update(u.id, static_cast<double>(u.weight));

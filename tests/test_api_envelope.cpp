@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -86,8 +87,8 @@ builder variant(int i) {
         case 3: b.text_keys().plain(); break;
         case 4: b.text_keys().fading(0.6); break;
         case 5: b.text_keys().sliding_window(3); break;
-        case 6: b.map_backend().plain(); break;
-        case 7: b.map_backend().fading(0.6); break;
+        case 6: b.storage(storage::map).plain(); break;
+        case 7: b.storage(storage::map).fading(0.6); break;
         case 8: b.plain().sharded(2); break;
         case 9: b.fading(0.6).sharded(2); break;
         case 10: b.sliding_window(3).sharded(2); break;
@@ -103,18 +104,42 @@ builder variant(int i) {
         case 18: b.algorithm(algo::space_saving).plain(); break;
         case 19: b.algorithm(algo::space_saving).fading(0.6); break;
         case 20: b.algorithm(algo::count_min).sharded(2); break;
-        default: b.algorithm(algo::space_saving).sharded(2); break;
+        case 21: b.algorithm(algo::space_saving).sharded(2); break;
+        // Real weights wherever the table offers them, standalone ...
+        case 22: b.real_weights().plain(); break;
+        case 23: b.real_weights().sliding_window(3); break;
+        case 24: b.text_keys().real_weights().plain(); break;
+        case 25: b.text_keys().real_weights().sliding_window(3); break;
+        case 26: b.storage(storage::map).real_weights().plain(); break;
+        case 27: b.algorithm(algo::space_saving).real_weights(); break;
+        // ... and sharded, plus the remaining sharded baselines.
+        case 28: b.real_weights().plain().sharded(2); break;
+        case 29: b.real_weights().sliding_window(3).sharded(2); break;
+        case 30: b.text_keys().real_weights().plain().sharded(2); break;
+        case 31: b.text_keys().real_weights().sliding_window(3).sharded(2); break;
+        case 32: b.algorithm(algo::count_min).real_weights().sharded(2); break;
+        case 33: b.algorithm(algo::count_min).fading(0.6).sharded(2); break;
+        case 34: b.algorithm(algo::count_sketch).sharded(2); break;
+        case 35: b.algorithm(algo::space_saving).real_weights().sharded(2); break;
+        default: b.algorithm(algo::space_saving).fading(0.6).sharded(2); break;
     }
     return b;
 }
 
+/// Every instantiation the builder materializes: 20 standalone sketch types
+/// plus the 17 of them that shard (the map storage does not).
+constexpr int num_variants = 37;
+
 TEST(ApiEnvelope, BitExactRoundTripForEveryInstantiation) {
-    for (int i = 0; i <= 21; ++i) {
+    std::set<std::string> covered;
+    for (int i = 0; i < num_variants; ++i) {
         SCOPED_TRACE("variant " + std::to_string(i));
         auto s = variant(i).build();
+        covered.insert(s.descriptor().to_string() + (s.sharded() ? " sharded" : ""));
         feed(s, 100 + static_cast<std::uint64_t>(i));
         const auto first = s.save();
         auto restored = restore_summary(first);
+        EXPECT_EQ(restored.descriptor(), s.descriptor());
         const auto second = restored.save();
         EXPECT_TRUE(first == second) << "save -> restore -> save not byte-identical";
         if (s.sharded()) {
@@ -122,6 +147,31 @@ TEST(ApiEnvelope, BitExactRoundTripForEveryInstantiation) {
         } else {
             expect_same_answers(s, restored);
         }
+    }
+    EXPECT_EQ(covered.size(), static_cast<std::size_t>(num_variants))
+        << "two variants build the same instantiation";
+}
+
+TEST(ApiEnvelope, ShardedSnapshotsMergeIntoStandaloneSummaries) {
+    for (const bool text : {false, true}) {
+        SCOPED_TRACE(text ? "text" : "u64");
+        builder b;
+        b.keys(text ? key_kind::text : key_kind::u64).max_counters(256).seed(11);
+        auto sharded = builder(b).sharded(2).build();
+        feed(sharded, 1);
+        auto built = b.build();
+        feed(built, 2);
+        auto restored = restore_summary(built.save());
+        const auto snap = sharded.snapshot();
+        for (summarizer* into : {&built, &restored}) {
+            const double n = into->total_weight() + snap.total_weight();
+            into->merge(snap);
+            EXPECT_DOUBLE_EQ(into->total_weight(), n);
+        }
+        // A live sharded summarizer neither merges nor is merged: its
+        // snapshot() is the mergeable form.
+        EXPECT_THROW(sharded.merge(built), std::invalid_argument);
+        EXPECT_THROW(built.merge(sharded), std::invalid_argument);
     }
 }
 
