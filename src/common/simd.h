@@ -3,7 +3,7 @@
 
 /// \file simd.h
 /// The freq::simd capability layer: small fixed-width group primitives the
-/// counter table's hot paths (table/counter_table.h) are written against,
+/// counter table's probe loops (table/counter_table.h) are written against,
 /// with the best available implementation selected at *compile time*:
 ///
 ///   AVX2   (x86, -mavx2 / -march=native)  4 x 64-bit lanes per op
@@ -27,7 +27,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <type_traits>
 
 #if !defined(FREQ_SIMD_OFF)
 #if defined(__AVX2__)
@@ -73,12 +72,6 @@ constexpr const char* isa_name() noexcept {
 #endif
 }
 
-/// Weight types the vectorized decrement sweep handles; anything else takes
-/// the scalar reference lane-by-lane.
-template <typename W>
-inline constexpr bool sweepable_weight =
-    std::is_arithmetic_v<W> && sizeof(W) == 8;
-
 // --- scalar reference (always compiled; the parity oracle) -------------------
 
 namespace scalar {
@@ -101,24 +94,6 @@ inline std::uint32_t match_mask4(const K* keys, K needle) noexcept {
         m |= static_cast<std::uint32_t>(keys[i] == needle) << i;
     }
     return m;
-}
-
-/// Bit i set iff values[i] <= amount.
-template <typename W>
-inline std::uint32_t le_mask4(const W* values, W amount) noexcept {
-    std::uint32_t m = 0;
-    for (std::size_t i = 0; i < group; ++i) {
-        m |= static_cast<std::uint32_t>(values[i] <= amount) << i;
-    }
-    return m;
-}
-
-/// values[i] -= amount for all four lanes.
-template <typename W>
-inline void sub4(W* values, W amount) noexcept {
-    for (std::size_t i = 0; i < group; ++i) {
-        values[i] -= amount;
-    }
 }
 
 }  // namespace scalar
@@ -148,47 +123,6 @@ inline std::uint32_t match_mask4(const K* keys, K needle) noexcept {
     return static_cast<std::uint32_t>(_mm256_movemask_pd(_mm256_castsi256_pd(eq)));
 }
 
-template <typename W>
-inline std::uint32_t le_mask4(const W* values, W amount) noexcept {
-    if constexpr (std::is_same_v<W, double>) {
-        const __m256d v = _mm256_loadu_pd(values);
-        const __m256d le = _mm256_cmp_pd(v, _mm256_set1_pd(amount), _CMP_LE_OQ);
-        return static_cast<std::uint32_t>(_mm256_movemask_pd(le));
-    } else if constexpr (std::is_integral_v<W> && sizeof(W) == 8) {
-        // v <= a  <=>  !(v > a); unsigned compares flip the sign bit first
-        // so the signed cmpgt orders them correctly.
-        __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(values));
-        __m256i a = _mm256_set1_epi64x(static_cast<long long>(amount));
-        if constexpr (std::is_unsigned_v<W>) {
-            const __m256i flip = _mm256_set1_epi64x(
-                static_cast<long long>(0x8000'0000'0000'0000ULL));
-            v = _mm256_xor_si256(v, flip);
-            a = _mm256_xor_si256(a, flip);
-        }
-        const __m256i gt = _mm256_cmpgt_epi64(v, a);
-        return static_cast<std::uint32_t>(
-                   _mm256_movemask_pd(_mm256_castsi256_pd(gt))) ^
-               0xFu;
-    } else {
-        return scalar::le_mask4(values, amount);
-    }
-}
-
-template <typename W>
-inline void sub4(W* values, W amount) noexcept {
-    if constexpr (std::is_same_v<W, double>) {
-        _mm256_storeu_pd(values,
-                         _mm256_sub_pd(_mm256_loadu_pd(values), _mm256_set1_pd(amount)));
-    } else if constexpr (std::is_integral_v<W> && sizeof(W) == 8) {
-        __m256i* p = reinterpret_cast<__m256i*>(values);
-        _mm256_storeu_si256(
-            p, _mm256_sub_epi64(_mm256_loadu_si256(p),
-                                _mm256_set1_epi64x(static_cast<long long>(amount))));
-    } else {
-        scalar::sub4(values, amount);
-    }
-}
-
 #elif defined(FREQ_SIMD_SSE2)
 
 inline std::uint32_t empty_mask4(const std::uint16_t* states) noexcept {
@@ -208,19 +142,6 @@ inline std::uint32_t match_mask2(const __m128i v, const __m128i needle) noexcept
         _mm_and_si128(eq32, _mm_shuffle_epi32(eq32, _MM_SHUFFLE(2, 3, 0, 1)));
     return static_cast<std::uint32_t>(_mm_movemask_pd(_mm_castsi128_pd(eq64)));
 }
-
-/// 2-lane signed 64-bit x > y without pcmpgtq (SSE4.2+): the high dwords
-/// decide, unless they are equal, in which case the sign of the exact
-/// 64-bit difference y - x does (high halves equal means the difference
-/// fits and its sign is the unsigned low-half comparison). Only each
-/// lane's high dword carries the verdict, so broadcast it across the lane
-/// and read the two sign bits with the double movemask.
-inline std::uint32_t gt_mask2_epi64(const __m128i x, const __m128i y) noexcept {
-    __m128i r = _mm_and_si128(_mm_cmpeq_epi32(x, y), _mm_sub_epi64(y, x));
-    r = _mm_or_si128(r, _mm_cmpgt_epi32(x, y));
-    r = _mm_shuffle_epi32(r, _MM_SHUFFLE(3, 3, 1, 1));
-    return static_cast<std::uint32_t>(_mm_movemask_pd(_mm_castsi128_pd(r)));
-}
 }  // namespace detail
 
 template <typename K>
@@ -232,52 +153,6 @@ inline std::uint32_t match_mask4(const K* keys, K needle) noexcept {
     const __m128i lo = _mm_loadu_si128(reinterpret_cast<const __m128i*>(keys));
     const __m128i hi = _mm_loadu_si128(reinterpret_cast<const __m128i*>(keys + 2));
     return detail::match_mask2(lo, n) | (detail::match_mask2(hi, n) << 2);
-}
-
-template <typename W>
-inline std::uint32_t le_mask4(const W* values, W amount) noexcept {
-    if constexpr (std::is_same_v<W, double>) {
-        const __m128d a = _mm_set1_pd(amount);
-        const std::uint32_t lo = static_cast<std::uint32_t>(
-            _mm_movemask_pd(_mm_cmple_pd(_mm_loadu_pd(values), a)));
-        const std::uint32_t hi = static_cast<std::uint32_t>(
-            _mm_movemask_pd(_mm_cmple_pd(_mm_loadu_pd(values + 2), a)));
-        return lo | (hi << 2);
-    } else if constexpr (std::is_integral_v<W> && sizeof(W) == 8) {
-        // v <= a  <=>  !(v > a); unsigned compares flip the sign bit first
-        // so the emulated signed cmpgt orders them correctly.
-        __m128i lo = _mm_loadu_si128(reinterpret_cast<const __m128i*>(values));
-        __m128i hi = _mm_loadu_si128(reinterpret_cast<const __m128i*>(values + 2));
-        __m128i a = _mm_set1_epi64x(static_cast<long long>(amount));
-        if constexpr (std::is_unsigned_v<W>) {
-            const __m128i flip = _mm_set1_epi64x(
-                static_cast<long long>(0x8000'0000'0000'0000ULL));
-            lo = _mm_xor_si128(lo, flip);
-            hi = _mm_xor_si128(hi, flip);
-            a = _mm_xor_si128(a, flip);
-        }
-        return (detail::gt_mask2_epi64(lo, a) |
-                (detail::gt_mask2_epi64(hi, a) << 2)) ^
-               0xFu;
-    } else {
-        return scalar::le_mask4(values, amount);
-    }
-}
-
-template <typename W>
-inline void sub4(W* values, W amount) noexcept {
-    if constexpr (std::is_same_v<W, double>) {
-        const __m128d a = _mm_set1_pd(amount);
-        _mm_storeu_pd(values, _mm_sub_pd(_mm_loadu_pd(values), a));
-        _mm_storeu_pd(values + 2, _mm_sub_pd(_mm_loadu_pd(values + 2), a));
-    } else if constexpr (std::is_integral_v<W> && sizeof(W) == 8) {
-        const __m128i a = _mm_set1_epi64x(static_cast<long long>(amount));
-        __m128i* p = reinterpret_cast<__m128i*>(values);
-        _mm_storeu_si128(p, _mm_sub_epi64(_mm_loadu_si128(p), a));
-        _mm_storeu_si128(p + 1, _mm_sub_epi64(_mm_loadu_si128(p + 1), a));
-    } else {
-        scalar::sub4(values, amount);
-    }
 }
 
 #elif defined(FREQ_SIMD_NEON)
@@ -304,64 +179,10 @@ inline std::uint32_t match_mask4(const K* keys, K needle) noexcept {
         ((vgetq_lane_u64(hi, 0) & 1u) << 2) | ((vgetq_lane_u64(hi, 1) & 1u) << 3));
 }
 
-template <typename W>
-inline std::uint32_t le_mask4(const W* values, W amount) noexcept {
-    if constexpr (std::is_same_v<W, double>) {
-        const float64x2_t a = vdupq_n_f64(amount);
-        const uint64x2_t lo = vcleq_f64(vld1q_f64(values), a);
-        const uint64x2_t hi = vcleq_f64(vld1q_f64(values + 2), a);
-        return static_cast<std::uint32_t>(
-            (vgetq_lane_u64(lo, 0) & 1u) | ((vgetq_lane_u64(lo, 1) & 1u) << 1) |
-            ((vgetq_lane_u64(hi, 0) & 1u) << 2) |
-            ((vgetq_lane_u64(hi, 1) & 1u) << 3));
-    } else if constexpr (std::is_unsigned_v<W> && sizeof(W) == 8) {
-        const uint64x2_t a = vdupq_n_u64(amount);
-        const uint64x2_t lo = vcleq_u64(vld1q_u64(values), a);
-        const uint64x2_t hi = vcleq_u64(vld1q_u64(values + 2), a);
-        return static_cast<std::uint32_t>(
-            (vgetq_lane_u64(lo, 0) & 1u) | ((vgetq_lane_u64(lo, 1) & 1u) << 1) |
-            ((vgetq_lane_u64(hi, 0) & 1u) << 2) |
-            ((vgetq_lane_u64(hi, 1) & 1u) << 3));
-    } else if constexpr (std::is_signed_v<W> && std::is_integral_v<W> &&
-                         sizeof(W) == 8) {
-        const int64x2_t a = vdupq_n_s64(amount);
-        const uint64x2_t lo = vcleq_s64(vld1q_s64(values), a);
-        const uint64x2_t hi = vcleq_s64(vld1q_s64(values + 2), a);
-        return static_cast<std::uint32_t>(
-            (vgetq_lane_u64(lo, 0) & 1u) | ((vgetq_lane_u64(lo, 1) & 1u) << 1) |
-            ((vgetq_lane_u64(hi, 0) & 1u) << 2) |
-            ((vgetq_lane_u64(hi, 1) & 1u) << 3));
-    } else {
-        return scalar::le_mask4(values, amount);
-    }
-}
-
-template <typename W>
-inline void sub4(W* values, W amount) noexcept {
-    if constexpr (std::is_same_v<W, double>) {
-        const float64x2_t a = vdupq_n_f64(amount);
-        vst1q_f64(values, vsubq_f64(vld1q_f64(values), a));
-        vst1q_f64(values + 2, vsubq_f64(vld1q_f64(values + 2), a));
-    } else if constexpr (std::is_unsigned_v<W> && sizeof(W) == 8) {
-        const uint64x2_t a = vdupq_n_u64(amount);
-        vst1q_u64(values, vsubq_u64(vld1q_u64(values), a));
-        vst1q_u64(values + 2, vsubq_u64(vld1q_u64(values + 2), a));
-    } else if constexpr (std::is_signed_v<W> && std::is_integral_v<W> &&
-                         sizeof(W) == 8) {
-        const int64x2_t a = vdupq_n_s64(amount);
-        vst1q_s64(values, vsubq_s64(vld1q_s64(values), a));
-        vst1q_s64(values + 2, vsubq_s64(vld1q_s64(values + 2), a));
-    } else {
-        scalar::sub4(values, amount);
-    }
-}
-
 #else  // scalar build: the dispatched names ARE the reference.
 
 using scalar::empty_mask4;
 using scalar::match_mask4;
-using scalar::le_mask4;
-using scalar::sub4;
 
 #endif
 

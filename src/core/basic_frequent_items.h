@@ -445,14 +445,18 @@ protected:
     /// Algorithm 4's DecrementCounters(): sample l live counters with
     /// replacement, subtract the configured sample quantile from every
     /// counter, and drop the non-positive ones. Returns c*.
+    ///
+    /// Sampling draws uniform slots until l of them land on live counters.
+    /// Every draw writes its slot's value to the next sample position and
+    /// advances that position only when the slot is occupied, so the
+    /// rejection of empty slots costs no branch.
     W decrement_counters() {
         const std::uint32_t slots = table_.num_slots();
-        for (auto& sample : sample_buf_) {
-            std::uint32_t s;
-            do {
-                s = static_cast<std::uint32_t>(rng_.below(slots));
-            } while (!table_.slot_occupied(s));
-            sample = table_.slot_value(s);
+        const std::size_t l = sample_buf_.size();
+        for (std::size_t j = 0; j < l;) {
+            const auto s = static_cast<std::uint32_t>(rng_.below(slots));
+            sample_buf_[j] = table_.slot_value(s);
+            j += table_.slot_occupied(s) ? 1 : 0;
         }
         const W cstar = quickselect_quantile(std::span<W>(sample_buf_), cfg_.decrement_quantile);
         FREQ_ENSURES(cstar > W{0});

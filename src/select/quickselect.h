@@ -10,8 +10,16 @@
 ///  * Algorithm 4 (SMED) — quantile of the l sampled counters;
 ///  * the "Hoa61" merge baseline of §3.1/§4.5 — k-th largest counter of the
 ///    combined table.
-/// Partitioning uses median-of-three pivots with a random fallback to avoid
-/// the classic quadratic blowup on sorted or constant runs.
+/// Each step partitions three ways (Dijkstra's `<` / `==` / `>` split) around
+/// the median of three randomly drawn elements and stops as soon as the rank
+/// lands in the block equal to the pivot. Counter buffers are full of
+/// duplicates — a decrement's samples hold a few hundred distinct values
+/// with a hundred copies of the median — and the equal block retires every
+/// copy of the pivot in one pass, so runs of equal values cost linear time
+/// instead of the quadratic blowup of a two-way split. Random pivots make
+/// the expected O(n) bound independent of the input order. The generator is
+/// seeded from the buffer length, so a given buffer always yields the same
+/// rearrangement; the selected value never depends on it.
 
 #include <cstddef>
 #include <span>
@@ -24,66 +32,73 @@ namespace freq {
 
 namespace detail {
 
+/// Dijkstra's three-way partition of \p v around \p pivot. Returns [lt, gt)
+/// such that v[0, lt) < pivot, v[lt, gt) == pivot and v[gt, n) > pivot.
+/// Only `operator<` is used.
 template <typename T>
-std::size_t partition_around(std::span<T> v, std::size_t pivot_index) {
-    const T pivot = v[pivot_index];
-    std::swap(v[pivot_index], v[v.size() - 1]);
-    std::size_t store = 0;
-    for (std::size_t i = 0; i + 1 < v.size(); ++i) {
+std::pair<std::size_t, std::size_t> partition_three_way(std::span<T> v, const T pivot) {
+    std::size_t lt = 0;
+    std::size_t i = 0;
+    std::size_t gt = v.size();
+    while (i < gt) {
         if (v[i] < pivot) {
-            std::swap(v[i], v[store]);
-            ++store;
+            std::swap(v[lt++], v[i++]);
+        } else if (pivot < v[i]) {
+            std::swap(v[i], v[--gt]);
+        } else {
+            ++i;
         }
     }
-    std::swap(v[store], v[v.size() - 1]);
-    return store;
+    return {lt, gt};
 }
 
+/// Median of three random elements (one for short ranges, where the extra
+/// draws cost more than a lopsided split).
 template <typename T>
-std::size_t median_of_three(std::span<T> v) {
-    const std::size_t a = 0, b = v.size() / 2, c = v.size() - 1;
-    if (v[a] < v[b]) {
-        if (v[b] < v[c]) return b;
-        return v[a] < v[c] ? c : a;
+T random_pivot(std::span<const T> v, xoshiro256ss& rng) {
+    const auto draw = [&] { return v[static_cast<std::size_t>(rng.below(v.size()))]; };
+    if (v.size() < 8) {
+        return draw();
     }
-    if (v[a] < v[c]) return a;
-    return v[b] < v[c] ? c : b;
+    T a = draw();
+    T b = draw();
+    const T c = draw();
+    if (b < a) {
+        std::swap(a, b);
+    }
+    if (c < b) {
+        return c < a ? a : c;
+    }
+    return b;
 }
 
 }  // namespace detail
 
-/// Rearranges \p v so that the r-th smallest element (0-based) is at index r
-/// and returns it. Expected O(n); mutates the buffer.
+/// Rearranges \p v so that the r-th smallest element (0-based) is at index r,
+/// with no larger element before it and no smaller one after it, and returns
+/// it. Expected O(n) comparisons whatever the duplicates; mutates the buffer.
 template <typename T>
 T quickselect_smallest(std::span<T> v, std::size_t r) {
     FREQ_REQUIRE(!v.empty(), "quickselect on empty range");
     FREQ_REQUIRE(r < v.size(), "quickselect rank out of range");
     xoshiro256ss rng(0x9e3779b97f4a7c15ULL ^ v.size());
-    std::span<T> range = v;
-    std::size_t rank = r;
-    while (range.size() > 1) {
-        const std::size_t pivot_at = range.size() >= 8
-                                         ? detail::median_of_three(range)
-                                         : static_cast<std::size_t>(rng.below(range.size()));
-        const std::size_t mid = detail::partition_around(range, pivot_at);
-        if (rank == mid) {
-            return range[mid];
-        }
-        if (rank < mid) {
-            range = range.subspan(0, mid);
+    // Invariant: v[lo, hi) holds rank r, everything before lo is no larger
+    // than v[lo, hi) and everything from hi on is no smaller.
+    std::size_t lo = 0;
+    std::size_t hi = v.size();
+    while (hi - lo > 1) {
+        const std::span<T> range = v.subspan(lo, hi - lo);
+        const auto [lt, gt] = detail::partition_three_way(
+            range, detail::random_pivot(std::span<const T>(range), rng));
+        if (r < lo + lt) {
+            hi = lo + lt;
+        } else if (r >= lo + gt) {
+            lo += gt;
         } else {
-            range = range.subspan(mid + 1);
-            rank -= mid + 1;
-        }
-        // Degenerate partitions (all-equal buffers) can stall median-of-three;
-        // fall back to a random pivot by re-entering the loop, which the rng
-        // pivot below handles for small ranges.
-        if (range.size() >= 8 && mid == 0) {
-            const std::size_t rnd = static_cast<std::size_t>(rng.below(range.size()));
-            std::swap(range[0], range[rnd]);
+            break;  // r landed in the block equal to the pivot
         }
     }
-    return range[0];
+    return v[r];
 }
 
 /// r-th largest (0-based: r = 0 is the maximum). Expected O(n); mutates \p v.

@@ -15,22 +15,21 @@
 ///
 /// Beyond find/upsert, the table supports the one operation that makes the
 /// paper's algorithms fast: decrement_all(c*), which subtracts c* from every
-/// counter and removes the non-positive ones *in place*, in a single pass,
-/// with no scratch memory. Removal uses run-local backward shifting: the
-/// sweep starts just past an empty slot, so when a slot is processed every
-/// occupied slot between any key's preferred slot and its current slot has
-/// already been re-placed, and re-probing from the preferred slot restores
-/// the linear-probing reachability invariant.
+/// counter and removes the non-positive ones *in place*, with no scratch
+/// memory, in two linear passes. The first is a branch-free subtract over
+/// the parallel values_/states_ arrays that empties the slots of dying
+/// counters; the second walks once around the array from an empty slot and
+/// moves each survivor back to the first hole on its probe path, found from
+/// the survivor's state (distance from its preferred slot) without
+/// rehashing its key.
 ///
-/// The probe loops and the decrement sweep are written against the
-/// freq::simd group primitives (common/simd.h): with an ISA compiled in,
-/// find/upsert take probe_prefix scalar steps (the common short-probe case,
-/// where one compare beats the group step's fixed mask cost) and then
-/// compare four consecutive slots per step, and decrement_all
-/// subtracts-and-tests four counters per step over the parallel
-/// values_/states_ arrays. The power-of-two slot array needs no padding —
-/// group steps run while a whole group fits before the array end and fall
-/// back to single-slot steps for the (at most three) slots at the wrap.
+/// find/upsert are written against the freq::simd group primitives
+/// (common/simd.h): with an ISA compiled in they take probe_prefix scalar
+/// steps (the common short-probe case, where one compare beats the group
+/// step's fixed mask cost) and then compare four consecutive slots per
+/// step. The power-of-two slot array needs no padding — group steps run
+/// while a whole group fits before the array end and fall back to
+/// single-slot steps for the (at most three) slots at the wrap.
 /// The UseSimd template parameter exists so one binary can instantiate both
 /// layouts; tests/test_simd_parity.cpp checks they produce bit-identical
 /// tables, and the micro_table bench measures the spread.
@@ -86,20 +85,11 @@ public:
 
     /// True when find/upsert use the 4-lane group probe (needs 8-byte keys).
     static constexpr bool group_probe = UseSimd && sizeof(K) == 8;
-    /// True when decrement_all uses the 4-lane subtract-and-test sweep.
-    static constexpr bool group_sweep = UseSimd && simd::sweepable_weight<W>;
     /// Scalar probe steps taken before entering the group loop. At load
     /// factor <= 3/4 most probes resolve within the first few slots, where
     /// one compare-and-branch beats the group step's fixed mask cost; the
     /// group loop takes over for the long-cluster tail it is built for.
     static constexpr std::uint32_t probe_prefix = 4;
-    /// The group sweep pays off once the parallel arrays spill past the
-    /// fast cache levels, where its wide loads overlap memory latency;
-    /// below this many bytes the scalar per-slot sweep's simple loop wins
-    /// (measured in bench/micro_table.cpp) and decrement_all uses it even
-    /// when group_sweep is compiled in. Results are bit-identical either
-    /// way — this picks a code path, not a semantic.
-    static constexpr std::size_t sweep_bytes_threshold = 256 * 1024;
 
     /// \param max_items  k — the largest number of simultaneously tracked
     ///                   counters; the slot array is sized ceil_pow2(4k/3).
@@ -266,24 +256,25 @@ public:
 
     /// Subtracts \p amount from every counter and erases the counters that
     /// become non-positive, compacting probe runs in place. Returns the
-    /// number of erased counters. O(L) single pass, no allocation.
+    /// number of erased counters. O(L), two passes, no allocation.
     ///
-    /// The sweep starts just past an empty slot, located from the slot the
-    /// previous decrement (or erase) left empty rather than by scanning from
-    /// slot 0 — on a near-full table whose front is one long cluster the
-    /// old scan was O(cluster) extra work per decrement.
-    ///
-    /// Group fast path: within a cluster where no counter has been evicted
-    /// yet, survivors re-place to the slot they already occupy (every slot
-    /// between their preferred slot and their current one was occupied
-    /// before the sweep and was re-placed identically), so a group of four
-    /// occupied, all-surviving slots in such a cluster reduces to one
-    /// 4-lane vector subtract with keys and states untouched. Any empty
-    /// lane, dying lane, or earlier eviction in the cluster drops to the
-    /// scalar vacate-and-re-place step. A slot found empty *at sweep time*
-    /// is empty in its original state (re-placements never land ahead of
-    /// the sweep cursor), so it resets the eviction flag exactly like the
-    /// empty slots the scalar argument relies on.
+    /// The result is exactly the layout of the textbook single pass that
+    /// walks once around the array from an empty slot, vacating each
+    /// counter and either dropping it or re-inserting it by probing from
+    /// its preferred slot (see the reference sweep in
+    /// tests/test_counter_table.cpp):
+    ///   1. a branch-free pass subtracts \p amount from every survivor and
+    ///      empties the slots of the counters that drop to <= \p amount;
+    ///   2. a walk from the slot after that empty `start` moves each
+    ///      survivor to the first empty slot on its probe path, which
+    ///      begins at home = slot - (state - 1): no rehash is needed, and a
+    ///      survivor with no hole between home and itself stays put.
+    /// Every slot a survivor's re-insertion probes lies in its original
+    /// cluster before it, so the walk has already finalized it — the same
+    /// slots the single pass would see. The start slot is located from the
+    /// slot the previous decrement (or erase) left empty rather than by
+    /// scanning from slot 0, which on a near-full table whose front is one
+    /// long cluster would cost O(cluster) per decrement.
     std::uint32_t decrement_all(W amount) {
         if (num_active_ == 0) {
             return 0;
@@ -297,21 +288,14 @@ public:
             ++scanned;
             FREQ_EXPECTS(scanned <= num_slots_);
         }
-        std::uint32_t erased;
-        if constexpr (group_sweep) {
-            // The two sweep instantiations produce bit-identical tables;
-            // the threshold only picks whichever is faster for this size.
-            if (memory_bytes() >= sweep_bytes_threshold) {
-                erased = sweep_pass<true>(start, amount);
-            } else {
-                erased = sweep_pass<false>(start, amount);
-            }
-        } else {
-            erased = sweep_pass<false>(start, amount);
+        const std::uint32_t erased = subtract_and_drop(amount);
+        num_active_ -= erased;
+        if (erased != 0) {  // without new holes every survivor is in place
+            close_holes(start);
         }
-        // The start slot was empty before the sweep and no re-placement can
-        // reach it (its original probe paths never crossed it), so it is
-        // still empty — the next decrement starts its scan here.
+        // The start slot was empty before the sweep and no survivor moves
+        // into it (no probe path crossed it), so it is still empty — the
+        // next decrement starts its scan here.
         empty_hint_ = start;
         return erased;
     }
@@ -396,6 +380,10 @@ public:
                mask_;
     }
 
+    /// Slot the next decrement_all starts its empty-slot scan from —
+    /// exposed for the reference-sweep tests.
+    std::uint32_t empty_hint() const noexcept { return empty_hint_; }
+
     void clear() noexcept {
         states_.assign(num_slots_, 0);
         num_active_ = 0;
@@ -477,61 +465,65 @@ private:
         }
     }
 
-    /// The decrement sweep proper, from the empty slot \p start all the way
-    /// around the array. Templated on the group fast path so the scalar
-    /// instantiation carries no per-iteration test for it — decrement_all
-    /// dispatches on the size threshold.
-    template <bool Group>
-    std::uint32_t sweep_pass(std::uint32_t start, W amount) {
-        std::uint32_t erased = 0;
-        std::uint32_t idx = (start + 1) & mask_;
-        std::uint32_t step = 1;
-        // True when a counter has been evicted since the last slot the sweep
-        // found empty: survivors beyond it may shift backward, so the group
-        // subtract-in-place shortcut is off until the next empty slot.
-        bool cluster_dirty = false;
-        while (step < num_slots_) {
-            if constexpr (Group) {
-                if (idx + simd::group <= num_slots_ &&
-                    step + simd::group <= num_slots_) {
-                    const std::uint32_t empty = simd::empty_mask4(&states_[idx]);
-                    if (!cluster_dirty && empty == 0 &&
-                        simd::le_mask4(&values_[idx], amount) == 0) {
-                        simd::sub4(&values_[idx], amount);
-                    } else {
-                        // Dispatch all four lanes off the one mask instead of
-                        // re-reading states slot by slot: re-placements made
-                        // while processing the group probe from the key's
-                        // preferred slot and end at or before the slot just
-                        // vacated, never ahead of the cursor, so a lane's
-                        // cached empty bit stays valid until that lane is
-                        // processed.
-                        for (std::uint32_t lane = 0; lane < simd::group; ++lane) {
-                            if ((empty >> lane) & 1u) {
-                                cluster_dirty = false;
-                            } else {
-                                sweep_occupied(idx + lane, amount, cluster_dirty,
-                                               erased);
-                            }
-                        }
-                    }
-                    idx += simd::group;
-                    if (idx == num_slots_) {
-                        idx = 0;
-                    }
-                    step += simd::group;
-                    continue;
-                }
-            }
-            if (states_[idx] == 0) {
-                cluster_dirty = false;
+    /// Pass 1 of decrement_all: subtracts \p amount from every live counter
+    /// above it and empties the slots of the others, without a branch per
+    /// slot: integral counters mask the subtrahend, floating-point ones
+    /// scale it by 0 or 1 (a branch on the compare would mispredict on half
+    /// the slots). A slot's value is left unchanged when it does not
+    /// survive, so unsigned counters never wrap. Returns the number of
+    /// counters dropped.
+    std::uint32_t subtract_and_drop(W amount) noexcept {
+        std::uint32_t dropped = 0;
+        W* const values = values_.data();
+        state_type* const states = states_.data();
+        const std::uint32_t n = num_slots_;
+        for (std::uint32_t i = 0; i < n; ++i) {
+            const W value = values[i];
+            const state_type state = states[i];
+            const bool dies = value <= amount;
+            if constexpr (std::is_integral_v<W>) {
+                const W keep = static_cast<W>(W{0} - static_cast<W>(!dies));
+                values[i] = static_cast<W>(value - (amount & keep));
             } else {
-                sweep_occupied(idx, amount, cluster_dirty, erased);
+                values[i] = value - amount * static_cast<W>(!dies);
             }
-            idx = (idx + 1) & mask_;
-            ++step;
+            states[i] = static_cast<state_type>(state & (0u - static_cast<unsigned>(!dies)));
+            dropped += static_cast<std::uint32_t>(dies & (state != 0));
         }
-        return erased;
+        return dropped;
+    }
+
+    /// Pass 2 of decrement_all: walks every slot once, from the one after
+    /// the empty \p start and wrapping, and moves each survivor to the first
+    /// empty slot on its probe path. `last_empty` is the walk step of the
+    /// latest slot behind the cursor that is empty (a survivor that moves
+    /// empties its old slot), so a survivor whose preferred slot lies past
+    /// it has no hole to fill and keeps its place.
+    void close_holes(std::uint32_t start) {
+        std::uint32_t last_empty = 0;
+        for (std::uint32_t step = 1; step < num_slots_; ++step) {
+            const std::uint32_t idx = (start + step) & mask_;
+            const std::uint32_t state = states_[idx];
+            if (state == 0) {
+                last_empty = step;
+                continue;
+            }
+            if (step - last_empty >= state) {
+                continue;  // no hole between the preferred slot and here
+            }
+            std::uint32_t target = (idx - (state - 1)) & mask_;
+            std::uint32_t dist = 0;
+            while (states_[target] != 0) {
+                target = (target + 1) & mask_;
+                ++dist;
+            }
+            FREQ_EXPECTS(dist + 1 <= max_state);
+            keys_[target] = keys_[idx];
+            values_[target] = values_[idx];
+            states_[target] = static_cast<state_type>(dist + 1);
+            states_[idx] = 0;
+            last_empty = step;
+        }
     }
 
     void insert_at(std::uint32_t slot, std::uint32_t home, K key, W weight) {
@@ -542,35 +534,6 @@ private:
         values_[slot] = weight;
         states_[slot] = static_cast<state_type>(dist + 1);
         ++num_active_;
-    }
-
-    /// One occupied-slot step of the decrement sweep. Vacates \p idx, then
-    /// either drops the counter or re-places it by probing from its
-    /// preferred slot. Every occupied slot this probe can traverse has
-    /// already been processed, so the probe ends at or before the slot just
-    /// vacated. Compare before subtracting: unsigned weights must not wrap.
-    void sweep_occupied(std::uint32_t idx, W amount, bool& cluster_dirty,
-                        std::uint32_t& erased) {
-        const K key = keys_[idx];
-        const W value = values_[idx];
-        states_[idx] = 0;
-        if (value <= amount) {
-            --num_active_;
-            ++erased;
-            cluster_dirty = true;
-        } else {
-            const W remaining = value - amount;
-            std::uint32_t target = home_slot(key);
-            std::uint32_t dist = 0;
-            while (states_[target] != 0) {
-                target = (target + 1) & mask_;
-                ++dist;
-            }
-            FREQ_EXPECTS(dist + 1 <= max_state);
-            keys_[target] = key;
-            values_[target] = remaining;
-            states_[target] = static_cast<state_type>(dist + 1);
-        }
     }
 
     /// After vacating \p hole, slide each subsequent cluster element one

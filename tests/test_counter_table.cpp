@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -350,6 +353,200 @@ TEST_P(CounterTableFuzz, MatchesOracleUnderRandomOperations) {
 
 INSTANTIATE_TEST_SUITE_P(Capacities, CounterTableFuzz,
                          ::testing::Values(1, 2, 3, 8, 31, 64, 257, 1024));
+
+// --- reference sweep ---------------------------------------------------------
+
+/// A table's slot arrays, copied out through the raw slot accessors.
+template <typename W>
+struct slot_image {
+    std::vector<std::uint64_t> keys;
+    std::vector<W> values;
+    std::vector<std::uint16_t> states;
+};
+
+template <typename W, bool UseSimd>
+slot_image<W> image_of(const counter_table<std::uint64_t, W, UseSimd>& t) {
+    slot_image<W> img;
+    for (std::uint32_t s = 0; s < t.num_slots(); ++s) {
+        img.keys.push_back(t.slot_key(s));
+        img.values.push_back(t.slot_value(s));
+        img.states.push_back(t.slot_state(s));
+    }
+    return img;
+}
+
+/// Test-only reference for decrement_all: the single-pass sweep. It starts
+/// just past an empty slot (scanning from the table's hint), walks once
+/// around the array, vacates every counter and either drops it or
+/// re-inserts it by probing from its preferred slot. Applied to \p img, a
+/// copy of \p t's slots taken before t's own decrement_all; sets \p start
+/// to the slot the next decrement scans from.
+template <typename W, bool UseSimd>
+std::uint32_t reference_decrement_all(const counter_table<std::uint64_t, W, UseSimd>& t,
+                                      slot_image<W>& img, W amount, std::uint32_t& start) {
+    const std::uint32_t n = t.num_slots();
+    const std::uint32_t mask = n - 1;
+    start = t.empty_hint();
+    if (t.empty()) {
+        return 0;
+    }
+    while (img.states[start] != 0) {
+        start = (start + 1) & mask;
+    }
+    std::uint32_t erased = 0;
+    for (std::uint32_t step = 1; step < n; ++step) {
+        const std::uint32_t idx = (start + step) & mask;
+        if (img.states[idx] == 0) {
+            continue;
+        }
+        const std::uint64_t key = img.keys[idx];
+        const W value = img.values[idx];
+        img.states[idx] = 0;
+        if (value <= amount) {
+            ++erased;
+            continue;
+        }
+        std::uint32_t target = t.home_slot(key);
+        std::uint32_t dist = 0;
+        while (img.states[target] != 0) {
+            target = (target + 1) & mask;
+            ++dist;
+        }
+        img.keys[target] = key;
+        img.values[target] = value - amount;
+        img.states[target] = static_cast<std::uint16_t>(dist + 1);
+    }
+    return erased;
+}
+
+/// Every slot's state, and key and value bits of every live slot, must
+/// match. Empty slots' stale keys and values may legitimately differ.
+template <typename W, bool UseSimd>
+void expect_matches_image(const counter_table<std::uint64_t, W, UseSimd>& t,
+                          const slot_image<W>& img, int step) {
+    std::uint32_t live = 0;
+    for (std::uint32_t s = 0; s < t.num_slots(); ++s) {
+        ASSERT_EQ(t.slot_state(s), img.states[s]) << "step " << step << " slot " << s;
+        if (img.states[s] != 0) {
+            ++live;
+            ASSERT_EQ(t.slot_key(s), img.keys[s]) << "step " << step << " slot " << s;
+            const W v = t.slot_value(s);
+            ASSERT_EQ(std::memcmp(&v, &img.values[s], sizeof(W)), 0)
+                << "step " << step << " slot " << s;
+        }
+    }
+    ASSERT_EQ(t.size(), live) << "step " << step;
+}
+
+/// Runs decrement_all on \p t and the reference sweep on a copy of its
+/// slots, and compares the layouts, erase counts and next scan starts.
+template <typename W, bool UseSimd>
+void decrement_against_reference(counter_table<std::uint64_t, W, UseSimd>& t, W amount,
+                                 int step) {
+    slot_image<W> img = image_of(t);
+    std::uint32_t start = 0;
+    const std::uint32_t want = reference_decrement_all(t, img, amount, start);
+    ASSERT_EQ(t.decrement_all(amount), want) << "step " << step;
+    expect_matches_image(t, img, step);
+    ASSERT_EQ(t.empty_hint(), start) << "step " << step;
+}
+
+/// A sketch-shaped history: upserts over a pool four times the capacity, a
+/// decrement by a sampled live counter whenever a new key meets a full
+/// table (as Algorithm 4 does), plus free-standing decrements, erases and,
+/// for floating-point weights, scale_all (whose underflow cleanup is a
+/// decrement_all(0)). Each decrement is checked against the reference.
+template <typename W, bool UseSimd>
+void reference_history(std::uint32_t k, std::uint64_t seed) {
+    counter_table<std::uint64_t, W, UseSimd> t(k, seed);
+    xoshiro256ss rng(seed * 31 + k);
+    const auto weight = [&](std::uint64_t lo, std::uint64_t hi) {
+        const auto w = static_cast<W>(rng.between(lo, hi));
+        // Quarter steps keep floating-point ties (value == amount) common.
+        return std::is_floating_point_v<W> ? static_cast<W>(w / 4) : w;
+    };
+    const std::uint64_t key_pool = 4 * static_cast<std::uint64_t>(k) + 3;
+    const int steps = static_cast<int>(std::max<std::uint32_t>(4'000, 6 * k));
+    bool reached_full = false;
+    for (int step = 0; step < steps; ++step) {
+        // Free-standing decrements and rescales are rare enough that large
+        // tables still fill between them.
+        const auto rare = rng.below(k + 16);
+        const auto op = rng.below(100);
+        if (rare == 0) {
+            ASSERT_NO_FATAL_FAILURE(decrement_against_reference(t, weight(0, 60), step));
+        } else if (op < 95) {
+            const std::uint64_t key = rng.below(key_pool);
+            if (t.find(key) == nullptr && t.full()) {
+                reached_full = true;
+                std::uint32_t s = 0;
+                do {
+                    s = static_cast<std::uint32_t>(rng.below(t.num_slots()));
+                } while (!t.slot_occupied(s));
+                ASSERT_NO_FATAL_FAILURE(decrement_against_reference(t, t.slot_value(s), step));
+            }
+            if (t.find(key) != nullptr || !t.full()) {
+                t.upsert(key, weight(1, 50));
+            }
+        } else if (op < 98) {
+            t.erase(rng.below(key_pool));
+        }
+        if constexpr (std::is_floating_point_v<W>) {
+            if (rare == 1) {
+                // Half the time a factor that underflows the smallest
+                // counters to zero; the reference replays scale_all's
+                // multiply exactly.
+                const double tiny = std::is_same_v<W, float> ? 0x1p-150 : 0x1p-1074;
+                const double factor = rng.below(2) == 0 ? tiny : 0.5;
+                slot_image<W> img = image_of(t);
+                bool underflow = false;
+                for (std::uint32_t s = 0; s < t.num_slots(); ++s) {
+                    if (img.states[s] != 0) {
+                        img.values[s] = static_cast<W>(img.values[s] * factor);
+                        underflow |= !(img.values[s] > W{0});
+                    }
+                }
+                std::uint32_t start = t.empty_hint();
+                if (underflow) {
+                    reference_decrement_all(t, img, W{0}, start);
+                }
+                t.scale_all(factor);
+                ASSERT_NO_FATAL_FAILURE(expect_matches_image(t, img, step));
+                ASSERT_EQ(t.empty_hint(), start) << "step " << step;
+            }
+        }
+    }
+    EXPECT_TRUE(reached_full) << "history never filled the table";
+}
+
+template <typename W>
+void reference_history_both_layouts(std::uint32_t k, std::uint64_t seed) {
+    ASSERT_NO_FATAL_FAILURE((reference_history<W, true>(k, seed)));
+    ASSERT_NO_FATAL_FAILURE((reference_history<W, false>(k, seed)));
+}
+
+// 1, 2 and 3 give two- and four-slot tables whose clusters wrap; 4096 runs
+// a production-sized table through full-table decrement rounds.
+class CounterTableReference : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(CounterTableReference, U64MatchesSinglePassSweep) {
+    reference_history_both_layouts<std::uint64_t>(GetParam(), 1);
+}
+TEST_P(CounterTableReference, U32MatchesSinglePassSweep) {
+    reference_history_both_layouts<std::uint32_t>(GetParam(), 2);
+}
+TEST_P(CounterTableReference, I64MatchesSinglePassSweep) {
+    reference_history_both_layouts<std::int64_t>(GetParam(), 3);
+}
+TEST_P(CounterTableReference, DoubleMatchesSinglePassSweep) {
+    reference_history_both_layouts<double>(GetParam(), 4);
+}
+TEST_P(CounterTableReference, FloatMatchesSinglePassSweep) {
+    reference_history_both_layouts<float>(GetParam(), 5);
+}
+
+INSTANTIATE_TEST_SUITE_P(Capacities, CounterTableReference,
+                         ::testing::Values(1, 2, 3, 64, 4096));
 
 }  // namespace
 }  // namespace freq

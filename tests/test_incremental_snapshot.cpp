@@ -272,21 +272,29 @@ TEST(IncrementalSnapshot, ConcurrentSnapshotsDuringIngest) {
 
     constexpr std::uint64_t per_producer = 50'000;
     std::atomic<bool> done{false};
+    std::atomic<std::uint64_t> reads{0};
     std::vector<std::thread> producers;
     for (unsigned t = 0; t < 2; ++t) {
-        producers.emplace_back([&engine, t] {
+        producers.emplace_back([&engine, &reads, t] {
             auto p = engine.make_producer();
             xoshiro256ss rng(t + 1);
             for (std::uint64_t i = 0; i < per_producer; ++i) {
+                // Hold the second half back until the reader has folded at
+                // least once, so a snapshot always lands mid-ingest however
+                // the threads are scheduled.
+                while (i == per_producer / 2 && reads.load(std::memory_order_acquire) == 0) {
+                    std::this_thread::yield();
+                }
                 p.push(rng.below(500), 1);
             }
             p.flush();
         });
     }
-    std::thread reader([&engine, &done] {
+    std::thread reader([&engine, &done, &reads] {
         std::uint64_t last = 0;
         while (!done.load(std::memory_order_acquire)) {
             const auto snap = engine.snapshot();
+            reads.fetch_add(1, std::memory_order_release);
             const auto total = snap.total_weight();
             EXPECT_GE(total, last);  // totals only grow while ingesting
             last = total;

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "random/xoshiro.h"
@@ -99,6 +100,54 @@ TEST(Quickselect, PartitionLeavesSelectedAtRank) {
     }
     for (std::size_t i = r; i < v.size(); ++i) {
         EXPECT_GE(v[i], val);
+    }
+}
+
+/// An element that counts the comparisons made on it, so a test can bound
+/// the selection's work rather than time it.
+struct counted {
+    std::uint64_t v;
+    static inline std::uint64_t comparisons = 0;
+    friend bool operator<(const counted& a, const counted& b) {
+        ++comparisons;
+        return a.v < b.v;
+    }
+};
+
+/// Linear time on duplicates: the decrement buffers the paper's algorithms
+/// select from hold a few hundred distinct values with long runs of equal
+/// ones. A two-way partition re-partitions every run of the pivot value and
+/// goes quadratic (hundreds of comparisons per element on these inputs);
+/// the three-way partition retires each run in one pass.
+TEST(Quickselect, LinearComparisonsOnDuplicateHeavyInput) {
+    constexpr std::size_t n = 1024;
+    xoshiro256ss rng(17);
+    std::vector<std::uint64_t> half_equal(n);
+    std::vector<std::uint64_t> alphabet16(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        half_equal[i] = rng.below(2) == 0 ? 500 : rng.below(1000);
+        alphabet16[i] = rng.below(16);
+    }
+    const std::vector<std::uint64_t> all_equal(n, 7);
+    const std::pair<const char*, const std::vector<std::uint64_t>*> inputs[] = {
+        {"half equal", &half_equal}, {"16-value alphabet", &alphabet16},
+        {"all equal", &all_equal}};
+    for (const auto& [name, values] : inputs) {
+        auto sorted = *values;
+        std::sort(sorted.begin(), sorted.end());
+        for (const double q : {0.0, 0.25, 0.5, 0.75, 0.999}) {
+            std::vector<counted> v;
+            for (const auto x : *values) {
+                v.push_back({x});
+            }
+            counted::comparisons = 0;
+            const counted got = quickselect_quantile(std::span<counted>(v), q);
+            const auto rank = static_cast<std::size_t>(q * static_cast<double>(n));
+            EXPECT_EQ(got.v, sorted[rank]) << name << " q=" << q;
+            const double per_element =
+                static_cast<double>(counted::comparisons) / static_cast<double>(n);
+            EXPECT_LE(per_element, 8.0) << name << " q=" << q;
+        }
     }
 }
 
