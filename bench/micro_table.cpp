@@ -1,27 +1,17 @@
 /// Google-benchmark micro-benchmarks for the §2.3.3 counter table itself:
-/// hit and miss lookups, upserts, batched probes and the
-/// decrement-and-compact pass, at small (L1-resident) and large
-/// (cache-straining) capacities. These are the per-operation costs that make
-/// Fig. 1's throughput possible.
+/// hit and miss lookups, upserts and the decrement-and-compact pass, at
+/// small (L1-resident) and large (cache-straining) capacities. These are
+/// the per-operation costs that make Fig. 1's throughput possible.
 ///
-/// Every operation runs twice — against the group-probe layout
-/// (counter_table<..., true>, the default when common/simd.h finds an ISA)
-/// and against the plain scalar probe loop (counter_table<..., false>) — and
-/// main() writes the paired times and speedups to BENCH_table.json. The
-/// acceptance gate is "the SIMD layout is not slower than scalar" (within
-/// noise) on the cache-resident sizes; when no ISA is compiled in the two
-/// layouts run the same code and the gate passes trivially.
+/// CI runs it with --benchmark_out=BENCH_table.json
+/// --benchmark_out_format=json so scripts/bench_delta.py can diff the
+/// per-operation times between runs.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <cstdio>
-#include <map>
-#include <string>
 #include <vector>
 
-#include "bench/bench_common.h"
-#include "common/simd.h"
 #include "random/xoshiro.h"
 #include "table/counter_table.h"
 
@@ -29,10 +19,7 @@ namespace {
 
 using namespace freq;
 
-bench::alloc_phase g_allocs;  // heap traffic of the whole run
-
-template <bool UseSimd>
-using table_t = counter_table<std::uint64_t, std::uint64_t, UseSimd>;
+using table_t = counter_table<std::uint64_t, std::uint64_t>;
 
 std::vector<std::uint64_t> resident_keys(std::uint32_t k, std::uint64_t seed) {
     xoshiro256ss rng(seed);
@@ -44,21 +31,19 @@ std::vector<std::uint64_t> resident_keys(std::uint32_t k, std::uint64_t seed) {
     return keys;
 }
 
-template <bool UseSimd>
-table_t<UseSimd> filled_table(const std::vector<std::uint64_t>& keys,
-                              std::uint64_t weight = 100) {
-    table_t<UseSimd> t(static_cast<std::uint32_t>(keys.size()), 1);
+table_t filled_table(const std::vector<std::uint64_t>& keys,
+                     std::uint64_t weight = 100) {
+    table_t t(static_cast<std::uint32_t>(keys.size()), 1);
     for (const auto key : keys) {
         t.upsert(key, weight);
     }
     return t;
 }
 
-template <bool UseSimd>
 void BM_FindHit(benchmark::State& state) {
     const auto k = static_cast<std::uint32_t>(state.range(0));
     const auto keys = resident_keys(k, 1);
-    const auto t = filled_table<UseSimd>(keys);
+    const auto t = filled_table(keys);
     std::size_t i = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(t.find(keys[i]));
@@ -67,10 +52,9 @@ void BM_FindHit(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
-template <bool UseSimd>
 void BM_FindMiss(benchmark::State& state) {
     const auto k = static_cast<std::uint32_t>(state.range(0));
-    const auto t = filled_table<UseSimd>(resident_keys(k, 1));
+    const auto t = filled_table(resident_keys(k, 1));
     xoshiro256ss rng(99);
     for (auto _ : state) {
         benchmark::DoNotOptimize(t.find(rng() | 1ULL));  // almost surely absent
@@ -78,34 +62,10 @@ void BM_FindMiss(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
-template <bool UseSimd>
-void BM_FindBatch16(benchmark::State& state) {
-    // The block shape the batched sketch update feeds through find_batch:
-    // 16 keys, ~half hits, prefetches issued up front.
-    constexpr std::size_t block = 16;
-    const auto k = static_cast<std::uint32_t>(state.range(0));
-    const auto keys = resident_keys(k, 1);
-    auto t = filled_table<UseSimd>(keys);
-    xoshiro256ss rng(7);
-    std::vector<std::uint64_t> probe(block * 1024);
-    for (std::size_t i = 0; i < probe.size(); ++i) {
-        probe[i] = rng.below(2) == 0 ? keys[rng.below(keys.size())] : (rng() | 1ULL);
-    }
-    std::uint64_t* results[block];
-    std::size_t off = 0;
-    for (auto _ : state) {
-        t.find_batch(probe.data() + off, block, results);
-        benchmark::DoNotOptimize(results[0]);
-        off = (off + block) % probe.size();
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * block);
-}
-
-template <bool UseSimd>
 void BM_UpsertExisting(benchmark::State& state) {
     const auto k = static_cast<std::uint32_t>(state.range(0));
     const auto keys = resident_keys(k, 1);
-    auto t = filled_table<UseSimd>(keys);
+    auto t = filled_table(keys);
     std::size_t i = 0;
     for (auto _ : state) {
         t.upsert(keys[i], 1);
@@ -114,18 +74,16 @@ void BM_UpsertExisting(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
-template <bool UseSimd>
 void BM_DecrementAll(benchmark::State& state) {
     // Counters start huge so repeated decrements never evict: the sweep runs
-    // the survivors-only path (the group subtract under the SIMD layout)
-    // without a rebuild between iterations. The rare refill re-arms it.
+    // the survivors-only path without a rebuild between iterations. The rare refill re-arms it.
     const auto k = static_cast<std::uint32_t>(state.range(0));
     const auto keys = resident_keys(k, 1);
-    auto t = filled_table<UseSimd>(keys, std::uint64_t{1} << 40);
+    auto t = filled_table(keys, std::uint64_t{1} << 40);
     for (auto _ : state) {
         if (t.size() < k) {
             state.PauseTiming();
-            t = filled_table<UseSimd>(keys, std::uint64_t{1} << 40);
+            t = filled_table(keys, std::uint64_t{1} << 40);
             state.ResumeTiming();
         }
         benchmark::DoNotOptimize(t.decrement_all(50));
@@ -134,20 +92,19 @@ void BM_DecrementAll(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * k);
 }
 
-template <bool UseSimd>
 void BM_DecrementAllEvicting(benchmark::State& state) {
     // The other extreme: every pass erases ~1/8 of the counters, so the
     // sweep keeps leaving clusters dirty and re-placing survivors.
     const auto k = static_cast<std::uint32_t>(state.range(0));
     const auto keys = resident_keys(k, 1);
     xoshiro256ss rng(13);
-    auto seed_values = [&](table_t<UseSimd>& t) {
+    auto seed_values = [&](table_t& t) {
         t.clear();
         for (const auto key : keys) {
             t.upsert(key, 50 * (1 + rng.below(8)));
         }
     };
-    table_t<UseSimd> t(k, 1);
+    table_t t(k, 1);
     seed_values(t);
     for (auto _ : state) {
         if (t.size() < k / 2) {
@@ -160,12 +117,11 @@ void BM_DecrementAllEvicting(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * k);
 }
 
-template <bool UseSimd>
 void BM_FillToCapacity(benchmark::State& state) {
     const auto k = static_cast<std::uint32_t>(state.range(0));
     const auto keys = resident_keys(k, 1);
     for (auto _ : state) {
-        table_t<UseSimd> t(k, 1);
+        table_t t(k, 1);
         for (const auto key : keys) {
             t.upsert(key, 1);
         }
@@ -174,148 +130,14 @@ void BM_FillToCapacity(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * k);
 }
 
-/// Captures per-iteration wall seconds of every run so main() can compute
-/// the SIMD/scalar pairings after the normal console report. Benchmarks run
-/// with repetitions and the *minimum* per-iteration time is kept — the
-/// robust estimator on shared machines, where a background process can
-/// easily inflate a single repetition by more than the 10% gate tolerance.
-class capture_reporter : public benchmark::ConsoleReporter {
-public:
-    void ReportRuns(const std::vector<Run>& runs) override {
-        for (const auto& r : runs) {
-            if (r.run_type == Run::RT_Aggregate || r.iterations <= 0) {
-                continue;
-            }
-            const double s =
-                r.real_accumulated_time / static_cast<double>(r.iterations);
-            std::string name = r.benchmark_name();
-            if (const auto pos = name.find("/repeats:"); pos != std::string::npos) {
-                name.resize(pos);
-            }
-            const auto [it, inserted] = seconds_.try_emplace(std::move(name), s);
-            if (!inserted && s < it->second) {
-                it->second = s;
-            }
-        }
-        ConsoleReporter::ReportRuns(runs);
-    }
-
-    const std::map<std::string, double>& seconds() const { return seconds_; }
-
-private:
-    std::map<std::string, double> seconds_;
-};
-
-/// Emits BENCH_table.json with one point per (operation, capacity) pair and
-/// the simd/scalar time ratio. Gate: on the cache-resident capacities the
-/// group layout must not be slower than the scalar loop beyond noise
-/// (<= 10%); speedup itself is reported, not gated, so the file stays honest
-/// on hardware where 4-lane compares buy little.
-void write_table_json(const std::map<std::string, double>& s) {
-    struct op {
-        const char* name;   ///< benchmark function name
-        bool gated;         ///< participates in the not-slower acceptance
-    };
-    constexpr op ops[] = {
-        {"BM_FindHit", true},        {"BM_FindMiss", true},
-        {"BM_FindBatch16", true},    {"BM_UpsertExisting", true},
-        {"BM_DecrementAll", true},   {"BM_DecrementAllEvicting", true},
-        {"BM_FillToCapacity", false},
-    };
-    constexpr int sizes[] = {1024, 65536, 1 << 20};
-    constexpr double gate_ratio = 1.10;  // simd_s / scalar_s upper bound
-    bool pass = true;
-    bool any = false;
-    std::string points;
-    char line[512];
-    for (const auto& o : ops) {
-        for (const int k : sizes) {
-            const auto simd_it =
-                s.find(std::string(o.name) + "<true>/" + std::to_string(k));
-            const auto scalar_it =
-                s.find(std::string(o.name) + "<false>/" + std::to_string(k));
-            if (simd_it == s.end() || scalar_it == s.end()) {
-                continue;
-            }
-            any = true;
-            const double ratio = simd_it->second / scalar_it->second;
-            const bool gated = o.gated && k <= 65536;  // L2-resident sizes only
-            if (gated) {
-                pass = pass && ratio <= gate_ratio;
-            }
-            std::snprintf(line, sizeof(line),
-                          "%s\n    {\"op\": \"%s\", \"k\": %d, "
-                          "\"scalar_s\": %.9f, \"simd_s\": %.9f, "
-                          "\"speedup\": %.3f, \"gated\": %s}",
-                          points.empty() ? "" : ",", o.name, k, scalar_it->second,
-                          simd_it->second, scalar_it->second / simd_it->second,
-                          gated ? "true" : "false");
-            points += line;
-            std::printf("[%s] %s/%d: scalar %.2f ns, simd %.2f ns, speedup %.3fx\n",
-                        !gated ? "INFO" : (ratio <= gate_ratio ? "PASS" : "FAIL"),
-                        o.name, k, scalar_it->second * 1e9, simd_it->second * 1e9,
-                        scalar_it->second / simd_it->second);
-        }
-    }
-    if (!any) {
-        return;  // filtered run: leave any previous BENCH_table.json alone
-    }
-    FILE* json = std::fopen("BENCH_table.json", "w");
-    if (json == nullptr) {
-        return;
-    }
-    std::fprintf(json,
-                 "{\n  \"bench\": \"counter_table_simd\",\n"
-                 "  \"isa\": \"%s\",\n  \"simd_compiled\": %s,\n",
-                 simd::isa_name(), simd::compiled ? "true" : "false");
-    std::fprintf(json, "  ");
-    g_allocs.write_json_fields(json, "");
-    std::fprintf(json, ",\n");
-    std::fprintf(json,
-                 "  \"points\": [%s\n  ],\n"
-                 "  \"acceptance\": {\"simd_not_slower_than_scalar\": %s}\n}\n",
-                 points.c_str(), pass ? "true" : "false");
-    std::fclose(json);
-    std::printf("wrote BENCH_table.json (isa=%s)\n", simd::isa_name());
-}
-
 }  // namespace
 
-// Three repetitions per benchmark; capture_reporter keeps the fastest one.
-#define FREQ_TABLE_BENCH(fn)                                                  \
-    BENCHMARK_TEMPLATE(fn, true)                                              \
-        ->Arg(1024)->Arg(65536)->Arg(1 << 20)->Repetitions(3);                \
-    BENCHMARK_TEMPLATE(fn, false)                                             \
-        ->Arg(1024)->Arg(65536)->Arg(1 << 20)->Repetitions(3)
+BENCHMARK(BM_FindHit)->Arg(1024)->Arg(65536)->Arg(1 << 20);
+BENCHMARK(BM_FindMiss)->Arg(1024)->Arg(65536)->Arg(1 << 20);
+BENCHMARK(BM_UpsertExisting)->Arg(1024)->Arg(65536)->Arg(1 << 20);
+BENCHMARK(BM_DecrementAll)
+    ->Arg(1024)->Arg(65536)->Arg(1 << 20)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_DecrementAllEvicting)->Arg(1024)->Arg(65536)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_FillToCapacity)->Arg(1024)->Arg(65536)->Unit(benchmark::kMicrosecond);
 
-FREQ_TABLE_BENCH(BM_FindHit);
-FREQ_TABLE_BENCH(BM_FindMiss);
-FREQ_TABLE_BENCH(BM_FindBatch16);
-FREQ_TABLE_BENCH(BM_UpsertExisting);
-BENCHMARK_TEMPLATE(BM_DecrementAll, true)
-    ->Arg(1024)->Arg(65536)->Arg(1 << 20)->Repetitions(3)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK_TEMPLATE(BM_DecrementAll, false)
-    ->Arg(1024)->Arg(65536)->Arg(1 << 20)->Repetitions(3)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK_TEMPLATE(BM_DecrementAllEvicting, true)
-    ->Arg(1024)->Arg(65536)->Repetitions(3)->Unit(benchmark::kMicrosecond);
-BENCHMARK_TEMPLATE(BM_DecrementAllEvicting, false)
-    ->Arg(1024)->Arg(65536)->Repetitions(3)->Unit(benchmark::kMicrosecond);
-BENCHMARK_TEMPLATE(BM_FillToCapacity, true)
-    ->Arg(1024)->Arg(65536)->Repetitions(3)->Unit(benchmark::kMicrosecond);
-BENCHMARK_TEMPLATE(BM_FillToCapacity, false)
-    ->Arg(1024)->Arg(65536)->Repetitions(3)->Unit(benchmark::kMicrosecond);
-
-int main(int argc, char** argv) {
-    g_allocs.reset();
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
-        return 1;
-    }
-    capture_reporter reporter;
-    benchmark::RunSpecifiedBenchmarks(&reporter);
-    benchmark::Shutdown();
-    write_table_json(reporter.seconds());
-    return 0;
-}
+BENCHMARK_MAIN();

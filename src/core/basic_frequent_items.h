@@ -24,7 +24,6 @@
 /// SPSC-ring/batched-drain path.
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -112,85 +111,27 @@ public:
         if constexpr (std::is_signed_v<W> || std::is_floating_point_v<W>) {
             FREQ_REQUIRE(weight >= W{0}, "update weights must be non-negative");
         }
-        if (weight == W{0}) {
-            return;
-        }
-        if constexpr (LifetimePolicy::decaying) {
-            weight = static_cast<W>(weight * policy_.inflation());
-        }
-        total_weight_ += weight;
-        ingest(id, weight);
+        apply(id, weight);
     }
 
     /// Unit-weight convenience overload.
     void update(K id) { update(id, W{1}); }
 
-    /// Batched fast path: processes a whole run of updates with the
-    /// per-call bookkeeping hoisted out of the loop — total weight
-    /// accumulates in a register and is folded into the sketch once, and
-    /// table probes run in blocks through counter_table::find_batch, which
-    /// issues every home-slot prefetch for a block up front and then group-
-    /// probes each key (four slots per compare under the SIMD layout), so
-    /// the block's cache misses overlap instead of serializing. Tracked
-    /// keys — the overwhelming case on heavy-hitter workloads — then bump
-    /// their counter through the already-resolved pointer; misses take the
-    /// ordinary ingest path. Semantically identical to calling
-    /// update(id, weight) for each element in order (same table state, same
-    /// RNG consumption); this is the path the sharded engine's workers
-    /// drain ring batches through.
+    /// Processes a run of updates in order: exactly update(id, weight) for
+    /// each element (same table state, same RNG consumption), except that
+    /// the whole batch is validated before any element is applied. This is
+    /// the path the sharded engine's workers drain ring batches through.
     void update(std::span<const freq::update<K, W>> batch) {
-        // Validate the whole batch before touching any state, so a rejected
-        // weight cannot leave the sketch with counters not yet reflected in
-        // total_weight_ (the element-wise path validates-then-mutates per
-        // element; this keeps the all-or-nothing boundary at the batch).
+        // All-or-nothing at the batch boundary: a rejected weight cannot
+        // leave counters behind that total_weight_ does not reflect.
         if constexpr (std::is_signed_v<W> || std::is_floating_point_v<W>) {
             for (const auto& u : batch) {
                 FREQ_REQUIRE(u.weight >= W{0}, "update weights must be non-negative");
             }
         }
-        static constexpr std::size_t block = 16;
-        const std::size_t n = batch.size();
-        W added{0};
-        std::array<K, block> ids;
-        std::array<W*, block> hits;
-        for (std::size_t base = 0; base < n; base += block) {
-            const std::size_t m = std::min(block, n - base);
-            for (std::size_t j = 0; j < m; ++j) {
-                ids[j] = batch[base + j].id;
-            }
-            table_.find_batch(ids.data(), m, hits.data());
-            // One probe-length sample per block keeps the histogram honest
-            // about clustering without a per-item record on the hot path.
-            for (std::size_t j = 0; j < m; ++j) {
-                if (hits[j] != nullptr) {
-                    obs::pipeline().table_probe_length.record(
-                        table_.probe_length_of(hits[j]) - 1u);
-                    break;
-                }
-            }
-            // The resolved pointers stay valid across upserts (the table
-            // never reallocates) but not across a decrement round, which
-            // compacts entries in place — fall back to ingest() for the
-            // rest of the block if one fires.
-            const std::uint64_t decs = num_decrements_;
-            for (std::size_t j = 0; j < m; ++j) {
-                W weight = batch[base + j].weight;
-                if (weight == W{0}) {
-                    continue;
-                }
-                if constexpr (LifetimePolicy::decaying) {
-                    weight = static_cast<W>(weight * policy_.inflation());
-                }
-                added += weight;
-                W* c = hits[j];
-                if (c != nullptr && num_decrements_ == decs) {
-                    *c += weight;
-                } else {
-                    ingest(ids[j], weight);
-                }
-            }
+        for (const auto& u : batch) {
+            apply(u.id, u.weight);
         }
-        total_weight_ += added;
     }
 
     void consume(const update_stream<K, W>& stream) {
@@ -432,6 +373,19 @@ protected:
         } else {
             return stored;
         }
+    }
+
+    /// The body of update(id, weight) once \p weight is validated: ages it
+    /// into storage units, adds it to N and ingests it.
+    void apply(K id, W weight) {
+        if (weight == W{0}) {
+            return;
+        }
+        if constexpr (LifetimePolicy::decaying) {
+            weight = static_cast<W>(weight * policy_.inflation());
+        }
+        total_weight_ += weight;
+        ingest(id, weight);
     }
 
     /// Algorithm 4's Update(), minus N bookkeeping (merge() feeds raw

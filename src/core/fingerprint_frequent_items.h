@@ -158,7 +158,7 @@ public:
 
     // --- ingestion (fingerprint path: the engine's hot lane) -----------------
 
-    /// Batched fingerprint ingest — the span fast path the sharded engine's
+    /// Batched fingerprint ingest — the span update the sharded engine's
     /// workers drain ring batches through. Counts only; spellings arrive
     /// separately through note_spelling() (the shard's side channel).
     void update(std::span<const freq::update<std::uint64_t, W>> batch) {

@@ -21,8 +21,8 @@
 ///    single-consumer and therefore wait-free. A full ring pushes back on
 ///    its producer (bounded memory); producers stage small per-shard runs
 ///    so ring synchronization is amortized over whole batches.
-///  * Each shard worker drains its rings in batches and applies them with
-///    the sketch's batched update() fast path. Queries never traverse live
+///  * Each shard worker drains its rings in batches and applies each batch
+///    with one span update() under the shard lock. Queries never traverse live
 ///    sketch state: snapshot() clones each shard's O(k) summary under a
 ///    brief lock and folds the clones with the in-place O(k) merge —
 ///    readers never block writers for more than one O(k) copy.

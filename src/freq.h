@@ -44,7 +44,6 @@
 #include "core/generic_frequent_items.h"      // arbitrary item types (map-backed)
 #include "core/lifetime_policy.h"             // plain / fading / sliding-window
 #include "core/med_exact_sketch.h"            // Algorithm 3 (deterministic variant)
-#include "core/parallel_summarize.h"          // §3 partition-then-merge utility
 #include "core/signed_frequent_items.h"       // §1.3 Note: deletion support
 #include "core/sketch_config.h"
 #include "core/spelling_dictionary.h"         // detachable key-identification half

@@ -51,7 +51,6 @@ struct pipeline_metrics {
     counter& sketch_decrement_rounds;
     counter& sketch_evictions;
     counter& sketch_renormalizations;
-    histogram& table_probe_length;
 
     // --- spelling side-lane -------------------------------------------------
     counter& spelling_enqueued;
@@ -126,10 +125,6 @@ private:
           sketch_renormalizations(r.get_counter(
               "freq_sketch_renormalizations_total",
               "Fading-sketch weight renormalizations (rebase of decayed scales)")),
-          table_probe_length(r.get_histogram(
-              "freq_table_probe_length",
-              "Counter-table probe length (slots from preferred), sampled once "
-              "per batched-update block")),
           spelling_enqueued(r.get_counter(
               "freq_spelling_enqueued_total",
               "Spellings accepted into shard spelling channels")),
@@ -220,7 +215,6 @@ struct pipeline_metrics {
     counter sketch_decrement_rounds;
     counter sketch_evictions;
     counter sketch_renormalizations;
-    histogram table_probe_length;
     counter spelling_enqueued;
     counter spelling_applied;
     counter spelling_rejects;

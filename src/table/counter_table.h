@@ -23,31 +23,13 @@
 /// the survivor's state (distance from its preferred slot) without
 /// rehashing its key.
 ///
-/// find/upsert are written against the freq::simd group primitives
-/// (common/simd.h): with an ISA compiled in they take probe_prefix scalar
-/// steps (the common short-probe case, where one compare beats the group
-/// step's fixed mask cost) and then compare four consecutive slots per
-/// step. The power-of-two slot array needs no padding — group steps run
-/// while a whole group fits before the array end and fall back to
-/// single-slot steps for the (at most three) slots at the wrap.
-/// The UseSimd template parameter exists so one binary can instantiate both
-/// layouts; tests/test_simd_parity.cpp checks they produce bit-identical
-/// tables, and the micro_table bench measures the spread.
-///
-/// Group-probe correctness notes:
-///   * the empty-lane mask is exact, so a key match in a lane whose empty
-///     bit is clear is a genuine live match;
-///   * a *stale* key (left behind by an erase or eviction) can only match in
-///     a lane whose empty bit is set, and the probe takes the lowest
-///     eventful lane with empty-beats-match, so a stale match at or after
-///     the first empty lane is never taken — the probe misses there, exactly
-///     like the scalar loop.
+/// find/upsert are the plain linear-probing loops of §2.3.3, one slot per
+/// step: at load factor <= 3/4 a probe touches a slot or two on average.
 ///
 /// At 8-byte keys, 8-byte values and 2-byte states the table costs
 /// 18 * ceil_pow2(4k/3) bytes — the paper's "24k bytes" figure when 4k/3
 /// lands on a power of two.
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <type_traits>
@@ -56,23 +38,11 @@
 #include "common/bits.h"
 #include "common/contracts.h"
 #include "common/mem.h"
-#include "common/simd.h"
 #include "hashing/hash.h"
-
-/// Keeps the group-probe tails out of the inlined fast paths: find/upsert
-/// resolve most probes within the scalar prefix, and inlining the (much
-/// larger) group loops next to that code measurably slows the short-probe
-/// case down.
-#if defined(__GNUC__) || defined(__clang__)
-#define FREQ_TABLE_NOINLINE __attribute__((noinline))
-#else
-#define FREQ_TABLE_NOINLINE
-#endif
 
 namespace freq {
 
-template <typename K = std::uint64_t, typename W = std::uint64_t,
-          bool UseSimd = simd::enabled>
+template <typename K = std::uint64_t, typename W = std::uint64_t>
 class counter_table {
     static_assert(std::is_integral_v<K> && sizeof(K) <= 8,
                   "counter_table keys are integral identifiers (fingerprint other types)");
@@ -83,22 +53,13 @@ public:
     using weight_type = W;
     using state_type = std::uint16_t;
 
-    /// True when find/upsert use the 4-lane group probe (needs 8-byte keys).
-    static constexpr bool group_probe = UseSimd && sizeof(K) == 8;
-    /// Scalar probe steps taken before entering the group loop. At load
-    /// factor <= 3/4 most probes resolve within the first few slots, where
-    /// one compare-and-branch beats the group step's fixed mask cost; the
-    /// group loop takes over for the long-cluster tail it is built for.
-    static constexpr std::uint32_t probe_prefix = 4;
-
     /// \param max_items  k — the largest number of simultaneously tracked
     ///                   counters; the slot array is sized ceil_pow2(4k/3).
     /// \param hash_seed  seeds the slot hash so distinct tables can use
     ///                   independent hash functions (see §3.2's merge note).
     /// \param place      memory-placement hints (common/mem.h): with
-    ///                   hugepages set, the freshly sized parallel arrays —
-    ///                   the SIMD probe groups live inside them — are
-    ///                   THP-advised right here, before any entry lands, so
+    ///                   hugepages set, the freshly sized parallel arrays
+    ///                   are THP-advised right here, before any entry lands, so
     ///                   the kernel can back them with huge pages from the
     ///                   first fault. NUMA locality needs no hook: the
     ///                   arrays fault in on the *constructing* thread's
@@ -152,20 +113,6 @@ public:
     /// Pointer to the counter for \p key, or nullptr when untracked.
     const W* find(K key) const noexcept {
         std::uint32_t idx = home_slot(key);
-        if constexpr (group_probe) {
-            if (num_slots_ >= simd::group) {
-                for (std::uint32_t i = 0; i < probe_prefix; ++i) {
-                    if (states_[idx] == 0) {
-                        return nullptr;
-                    }
-                    if (keys_[idx] == key) {
-                        return &values_[idx];
-                    }
-                    idx = (idx + 1) & mask_;
-                }
-                return find_group_tail(key, idx);
-            }
-        }
         while (states_[idx] != 0) {
             if (keys_[idx] == key) {
                 return &values_[idx];
@@ -179,47 +126,6 @@ public:
         return const_cast<W*>(static_cast<const counter_table*>(this)->find(key));
     }
 
-    /// Probes a block of keys, writing results[i] = counter pointer for
-    /// keys[i] or nullptr when untracked. Issues the home-slot prefetches for
-    /// the whole block up front, then probes each key (four slots per step
-    /// under the group layout), so the block's probe cache misses overlap
-    /// instead of serializing — the batched sketch update path feeds its
-    /// spans through here in blocks.
-    ///
-    /// The returned pointers obey the same invalidation rule as find():
-    /// upsert never moves entries (the arrays never reallocate), only
-    /// decrement_all / erase / scale_all do.
-    void find_batch(const K* keys, std::size_t n, W** results) noexcept {
-        for (std::size_t i = 0; i < n; ++i) {
-            prefetch(keys[i]);
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-            results[i] = find(keys[i]);
-        }
-    }
-
-    /// Probe length (state value, distance-plus-one) of the slot holding
-    /// \p counter, which must be a pointer previously returned by
-    /// find/find_batch and still valid. Feeds the probe-length telemetry
-    /// without a second probe.
-    state_type probe_length_of(const W* counter) const noexcept {
-        return states_[static_cast<std::size_t>(counter - values_.data())];
-    }
-
-    /// Prefetches the cache lines a probe for \p key will touch first. The
-    /// batched update path (frequent_items_sketch::update(span)) issues
-    /// these a few items ahead so successive probes overlap their memory
-    /// latency instead of serializing on it — the §2.3.3 table is large
-    /// enough at realistic k that nearly every probe misses cache.
-    void prefetch(K key) const noexcept {
-        const std::uint32_t idx = home_slot(key);
-#if defined(__GNUC__) || defined(__clang__)
-        __builtin_prefetch(&states_[idx], 0, 3);
-        __builtin_prefetch(&keys_[idx], 0, 3);
-        __builtin_prefetch(&values_[idx], 1, 3);
-#endif
-    }
-
     /// Adds \p weight to the counter for \p key, inserting the key if absent.
     /// Returns true when a new counter was created.
     /// Precondition: if the key is absent, the table must not be full —
@@ -227,22 +133,6 @@ public:
     bool upsert(K key, W weight) {
         const std::uint32_t home = home_slot(key);
         std::uint32_t idx = home;
-        if constexpr (group_probe) {
-            if (num_slots_ >= simd::group) {
-                for (std::uint32_t i = 0; i < probe_prefix; ++i) {
-                    if (states_[idx] == 0) {
-                        insert_at(idx, home, key, weight);
-                        return true;
-                    }
-                    if (keys_[idx] == key) {
-                        values_[idx] += weight;
-                        return false;
-                    }
-                    idx = (idx + 1) & mask_;
-                }
-                return upsert_group_tail(key, home, idx, weight);
-            }
-        }
         while (states_[idx] != 0) {
             if (keys_[idx] == key) {
                 values_[idx] += weight;
@@ -391,80 +281,6 @@ public:
     }
 
 private:
-    /// Group-probe continuation of find() once the scalar prefix is
-    /// exhausted. Kept out of line so find()'s short-probe fast path stays
-    /// small enough to inline into callers — long probes are the rare case
-    /// and absorb the call overhead.
-    FREQ_TABLE_NOINLINE
-    const W* find_group_tail(K key, std::uint32_t idx) const noexcept {
-        for (;;) {
-            if (idx + simd::group <= num_slots_) {
-                const std::uint32_t empty = simd::empty_mask4(&states_[idx]);
-                const std::uint32_t match = simd::match_mask4(&keys_[idx], key);
-                const std::uint32_t events = empty | match;
-                if (events != 0) {
-                    const std::uint32_t lane =
-                        static_cast<std::uint32_t>(std::countr_zero(events));
-                    if ((empty >> lane) & 1u) {
-                        return nullptr;
-                    }
-                    return &values_[idx + lane];
-                }
-                idx += simd::group;
-                if (idx == num_slots_) {
-                    idx = 0;
-                }
-            } else {
-                if (states_[idx] == 0) {
-                    return nullptr;
-                }
-                if (keys_[idx] == key) {
-                    return &values_[idx];
-                }
-                idx = (idx + 1) & mask_;
-            }
-        }
-    }
-
-    /// Group-probe continuation of upsert(). Unlike find_group_tail this is
-    /// left inlinable: forcing it out of line makes the call site spill the
-    /// caller's hot registers around the (rarely taken) call, which measures
-    /// worse than carrying the group loop inline.
-    bool upsert_group_tail(K key, std::uint32_t home, std::uint32_t idx, W weight) {
-        for (;;) {
-            if (idx + simd::group <= num_slots_) {
-                const std::uint32_t empty = simd::empty_mask4(&states_[idx]);
-                const std::uint32_t match = simd::match_mask4(&keys_[idx], key);
-                const std::uint32_t events = empty | match;
-                if (events != 0) {
-                    const std::uint32_t lane =
-                        static_cast<std::uint32_t>(std::countr_zero(events));
-                    const std::uint32_t slot = idx + lane;
-                    if ((empty >> lane) & 1u) {
-                        insert_at(slot, home, key, weight);
-                        return true;
-                    }
-                    values_[slot] += weight;
-                    return false;
-                }
-                idx += simd::group;
-                if (idx == num_slots_) {
-                    idx = 0;
-                }
-            } else {
-                if (states_[idx] == 0) {
-                    insert_at(idx, home, key, weight);
-                    return true;
-                }
-                if (keys_[idx] == key) {
-                    values_[idx] += weight;
-                    return false;
-                }
-                idx = (idx + 1) & mask_;
-            }
-        }
-    }
-
     /// Pass 1 of decrement_all: subtracts \p amount from every live counter
     /// above it and empties the slots of the others, without a branch per
     /// slot: integral counters mask the subtrahend, floating-point ones

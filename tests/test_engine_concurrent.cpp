@@ -8,12 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "api/summary_bytes.h"
+#include "core/basic_frequent_items.h"
 #include "core/frequent_items_sketch.h"
 #include "stream/exact_counter.h"
 #include "stream/generators.h"
@@ -362,38 +366,98 @@ TEST(StreamEngineConcurrent, HeavyHitterSurvivesSharding) {
     EXPECT_EQ(rows[0].id, 42u);
 }
 
-// The batched update path must be byte-for-byte equivalent to element-wise
-// updates (same rng consumption, same table state) — the engine and the
-// sequential API must never diverge on the same ordered stream.
-TEST(BatchedUpdate, EquivalentToElementwiseUpdates) {
-    const auto stream = zipf11_stream(80'000, 99);
-    const sketch_config cfg{.max_counters = 128, .seed = 11};
-    sketch_u64 batched(cfg);
-    sketch_u64 elementwise(cfg);
-    // Apply in irregular batch sizes, including empty and size-1 spans.
+// Feeds \p stream to one sketch in irregular spans (empty and size-1 spans
+// included) and to another item by item, ticking both at the same stream
+// positions, then checks that they hold the same state: decrement count,
+// envelope bytes, and the (id, counter) sequence in slot order.
+template <typename Sketch, typename W>
+void expect_spans_match_elementwise(const sketch_config& cfg,
+                                    const std::vector<update<std::uint64_t, W>>& stream) {
+    Sketch batched(cfg);
+    Sketch elementwise(cfg);
     std::size_t i = 0;
     std::size_t burst = 1;
-    while (i < stream.size()) {
+    for (std::size_t spans = 1; i < stream.size(); ++spans) {
         const std::size_t take = std::min(burst, stream.size() - i);
-        batched.update(std::span<const update64>(stream.data() + i, take));
+        batched.update(std::span<const update<std::uint64_t, W>>(stream.data() + i, take));
+        for (std::size_t j = i; j < i + take; ++j) {
+            elementwise.update(stream[j].id, stream[j].weight);
+        }
         i += take;
         burst = (burst * 7 + 3) % 1000;
-    }
-    for (const auto& u : stream) {
-        elementwise.update(u.id, u.weight);
+        if (spans % 16 == 0) {
+            batched.tick();
+            elementwise.tick();
+        }
     }
     EXPECT_EQ(batched.total_weight(), elementwise.total_weight());
-    EXPECT_EQ(batched.maximum_error(), elementwise.maximum_error());
-    EXPECT_EQ(batched.num_counters(), elementwise.num_counters());
     EXPECT_EQ(batched.num_decrements(), elementwise.num_decrements());
-    elementwise.for_each([&](std::uint64_t id, std::uint64_t c) {
-        EXPECT_EQ(batched.lower_bound(id), c) << id;
+    EXPECT_GT(batched.num_decrements(), 0u);  // decrement rounds inside spans
+    EXPECT_EQ(envelope_save(batched).bytes(), envelope_save(elementwise).bytes());
+    using entry = std::pair<std::uint64_t, W>;
+    std::vector<entry> a;
+    std::vector<entry> b;
+    batched.for_each([&](std::uint64_t id, W c) { a.emplace_back(id, c); });
+    elementwise.for_each([&](std::uint64_t id, W c) { b.emplace_back(id, c); });
+    EXPECT_EQ(a, b);
+    // Zero weights are skipped in spans exactly as element-wise.
+    const update<std::uint64_t, W> zeros[] = {{1, W{0}}, {2, W{0}}};
+    const auto before = envelope_save(batched).bytes();
+    batched.update(std::span<const update<std::uint64_t, W>>(zeros, 2));
+    EXPECT_EQ(envelope_save(batched).bytes(), before);
+}
+
+// The span update must be byte-for-byte equivalent to element-wise updates
+// (same rng consumption, same table layout) under every lifetime policy —
+// the engine and the sequential API must never diverge on the same ordered
+// stream.
+TEST(BatchedUpdate, EquivalentToElementwiseUpdates) {
+    const auto stream = zipf11_stream(80'000, 99);
+    {
+        SCOPED_TRACE("plain u64");
+        expect_spans_match_elementwise<sketch_u64>(
+            sketch_config{.max_counters = 128, .seed = 11}, stream);
+    }
+    {
+        SCOPED_TRACE("fading double");
+        std::vector<update64d> weighted;
+        for (const auto& u : stream) {
+            weighted.push_back({u.id, static_cast<double>(u.weight) * 0.37});
+        }
+        expect_spans_match_elementwise<fading_frequent_items<std::uint64_t, double>>(
+            sketch_config{.max_counters = 128, .seed = 12, .decay = 0.9}, weighted);
+    }
+    {
+        SCOPED_TRACE("windowed u64");
+        expect_spans_match_elementwise<windowed_frequent_items<>>(
+            sketch_config{.max_counters = 128, .seed = 13, .window_epochs = 3}, stream);
+    }
+}
+
+// A 1-shard engine drains every update through the span path in ring order,
+// so it must reproduce the sequential sketch exactly.
+TEST(StreamEngine, SingleWorkerEqualsSequentialSketch) {
+    zipf_stream_generator gen({.num_updates = 30'000, .num_distinct = 2'000, .seed = 9});
+    const auto stream = gen.generate();
+    engine_config cfg;
+    cfg.num_shards = 1;
+    cfg.sketch = sketch_config{.max_counters = 128, .seed = 3};
+    stream_engine<> engine(cfg);
+    {
+        auto producer = engine.make_producer();
+        producer.push(std::span<const update64>(stream.data(), stream.size()));
+        producer.flush();
+    }
+    engine.flush();
+    const auto sharded = engine.snapshot();
+    sketch_u64 sequential(cfg.sketch);
+    sequential.consume(stream);
+    EXPECT_EQ(sharded.total_weight(), sequential.total_weight());
+    EXPECT_EQ(sharded.maximum_error(), sequential.maximum_error());
+    EXPECT_EQ(sharded.num_counters(), sequential.num_counters());
+    sequential.for_each([&](std::uint64_t id, std::uint64_t c) {
+        EXPECT_EQ(sharded.lower_bound(id), c) << id;
     });
-    // Zero weights are skipped in batches exactly as element-wise.
-    const update64 zeros[] = {{1, 0}, {2, 0}};
-    const auto before = batched.total_weight();
-    batched.update(std::span<const update64>(zeros, 2));
-    EXPECT_EQ(batched.total_weight(), before);
 }
 
 // A batch containing an invalid (negative) weight must be rejected before

@@ -9,11 +9,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <unordered_set>
 
 #include "core/frequent_items_sketch.h"
-#include "core/parallel_summarize.h"
+#include "engine/stream_engine.h"
 #include "metrics/error.h"
 #include "stream/exact_counter.h"
 #include "stream/generators.h"
@@ -60,10 +61,18 @@ TEST_F(IntegrationPipeline, TraceToMergedHeavyHitters) {
     for (int site = 0; site < 2; ++site) {
         const auto stream = read_trace(path("site" + std::to_string(site) + ".fqtr"));
         ASSERT_EQ(stream.size(), 400'000u);
-        const auto summary = parallel_summarize(
-            stream,
-            sketch_config{.max_counters = k, .seed = 7 + static_cast<std::uint64_t>(site)}, 4);
-        images.push_back(summary.serialize());
+        engine_config cfg;
+        cfg.num_shards = 4;
+        cfg.sketch = sketch_config{.max_counters = k,
+                                   .seed = 7 + static_cast<std::uint64_t>(site)};
+        stream_engine<> engine(cfg);
+        {
+            auto producer = engine.make_producer();
+            producer.push(std::span<const update64>(stream.data(), stream.size()));
+            producer.flush();
+        }
+        engine.flush();
+        images.push_back(engine.snapshot().serialize());
     }
 
     // Stage 3: the aggregator restores and merges.

@@ -36,10 +36,20 @@ TEST(UmbrellaHeader, GenericAndStringAndSigned) {
     EXPECT_EQ(sg.estimate(3), 5);
 }
 
-TEST(UmbrellaHeader, ParallelSummarize) {
-    update_stream<std::uint64_t, std::uint64_t> stream{{1, 2}, {2, 3}, {1, 4}};
-    const auto s = parallel_summarize(stream, sketch_config{.max_counters = 8}, 2);
-    EXPECT_EQ(s.total_weight(), 9u);
+TEST(UmbrellaHeader, StreamEngine) {
+    engine_config cfg;
+    cfg.num_shards = 2;
+    cfg.sketch = sketch_config{.max_counters = 8};
+    stream_engine<> engine(cfg);
+    {
+        auto producer = engine.make_producer();
+        producer.push(1, 2);
+        producer.push(2, 3);
+        producer.push(1, 4);
+        producer.flush();
+    }
+    engine.flush();
+    EXPECT_EQ(engine.snapshot().total_weight(), 9u);
 }
 
 TEST(UmbrellaHeader, Applications) {
