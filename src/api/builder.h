@@ -89,14 +89,8 @@ namespace detail {
 
 template <typename W>
 W facade_weight(double w) {
-    FREQ_REQUIRE(std::isfinite(w) && w >= 0.0, "weights must be finite and non-negative");
-    if constexpr (std::is_floating_point_v<W>) {
-        return static_cast<W>(w);
-    } else {
-        FREQ_REQUIRE(w < 18446744073709551616.0, "weight exceeds the counts range");
-        FREQ_REQUIRE(w == std::floor(w), "counts summaries take integer weights");
-        return static_cast<W>(w);
-    }
+    require_weight(w, !std::is_floating_point_v<W>);
+    return static_cast<W>(w);
 }
 
 template <typename W>
@@ -156,17 +150,13 @@ inline double result_error(double summary_error, const std::vector<result_row>& 
     return summary_error;
 }
 
-[[noreturn]] inline void wrong_key_kind(const char* have, const char* got) {
-    throw std::invalid_argument(std::string("libfreq: this summarizer has ") + have +
-                                " keys; " + got + "-keyed call rejected");
-}
-
-/// A feeder over a standalone (unsharded) summary: forwards straight to the
-/// impl. Single-threaded like the summary itself.
+/// A feeder over a standalone (unsharded) summary: forwards each run to the
+/// impl's apply_run() and each text push to its update(). Single-threaded
+/// like the summary itself.
 class standalone_feeder final : public feeder_impl {
 public:
     explicit standalone_feeder(summarizer_impl* owner) : owner_(owner) {}
-    void push(std::uint64_t id, double weight) override { owner_->update(id, weight); }
+    void push_run(std::span<const update64d> run) override { owner_->apply_run(run); }
     void push(std::string_view item, double weight) override {
         owner_->update(item, weight);
     }
@@ -255,6 +245,15 @@ public:
                 for (const auto& u : b) {
                     ingest(u.id, facade_weight<W>(static_cast<double>(u.weight)));
                 }
+            }
+        });
+    }
+    /// The per-item body of update(id, w), minus the checks the feeder
+    /// handle already made, so a staged run lands bit-identically.
+    void apply_run(std::span<const update64d> run) override {
+        keyed<void>(run, [&](auto r) {
+            for (const update64d& u : r) {
+                ingest(u.id, static_cast<W>(u.weight));
             }
         });
     }
@@ -454,8 +453,9 @@ private:
 
     /// Runs \p f on \p key when its type fits this summary's key kind —
     /// string views for text summaries, ids and update spans for u64 ones —
-    /// and rejects the call otherwise: the one place a key-kind mismatch is
-    /// caught, for updates, point queries and feeder pushes alike.
+    /// and rejects the call otherwise, for updates, point queries, text
+    /// feeder pushes and feeder runs alike. (The feeder handle rejects a
+    /// wrong-kind u64 push itself, before staging it.)
     template <typename R, typename Key, typename F>
     static R keyed([[maybe_unused]] Key key, [[maybe_unused]] F&& f) {
         if constexpr (std::is_same_v<Key, std::string_view> == text_keys) {
@@ -469,16 +469,19 @@ private:
     class engine_feeder final : public feeder_impl {
     public:
         explicit engine_feeder(typename engine_type::producer p) : producer_(std::move(p)) {}
-        void push(std::uint64_t id, double weight) override { push_key(id, weight); }
-        void push(std::string_view item, double weight) override { push_key(item, weight); }
+        void push_run(std::span<const update64d> run) override {
+            keyed<void>(run, [&](auto r) {
+                for (const update64d& u : r) {
+                    producer_.push(u.id, static_cast<W>(u.weight));
+                }
+            });
+        }
+        void push(std::string_view item, double weight) override {
+            keyed<void>(item, [&](auto k) { producer_.push(k, facade_weight<W>(weight)); });
+        }
         void flush() override { producer_.flush(); }
 
     private:
-        template <typename Key>
-        void push_key(Key key, double weight) {
-            keyed<void>(key, [&](auto k) { producer_.push(k, facade_weight<W>(weight)); });
-        }
-
         typename engine_type::producer producer_;
     };
 

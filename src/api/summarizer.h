@@ -26,16 +26,21 @@
 ///     not).
 ///
 /// Zero-overhead users keep the template layer (see freq.h for the
-/// boundary): the façade costs one virtual dispatch per call — two plus a
-/// striped telemetry add for a per-item push through a standalone feeder —
-/// which the batched update(span) path amortizes to nothing — BENCH_api.json
-/// records the measured gap.
+/// boundary): the façade costs one virtual dispatch per call. A feeder's
+/// u64 push validates inline and touches no telemetry instrument; a
+/// standalone feeder stages it into a 256-update run that reaches the
+/// summary in one virtual call, a sharded one hands it to its engine
+/// producer in one (see feeder). The batched update(span) path amortizes
+/// the dispatch like a staged run.
 
+#include <array>
 #include <chrono>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -51,12 +56,43 @@ namespace freq {
 
 namespace detail {
 
-/// The erased ingestion handle behind summarizer::feeder.
+[[noreturn]] inline void wrong_key_kind(const char* have, const char* got) {
+    throw std::invalid_argument(std::string("libfreq: this summarizer has ") + have +
+                                " keys; " + got + "-keyed call rejected");
+}
+
+/// The façade's weight predicate, shared by feeder pushes and every other
+/// entry point (facade_weight, api/builder.h): finite and non-negative, and
+/// for counts summaries also integral and below 2^64.
+inline void require_weight(double w, bool counts) {
+    FREQ_REQUIRE(std::isfinite(w) && w >= 0.0, "weights must be finite and non-negative");
+    if (counts) {
+        FREQ_REQUIRE(w < 18446744073709551616.0, "weight exceeds the counts range");
+        FREQ_REQUIRE(w == std::floor(w), "counts summaries take integer weights");
+    }
+}
+
+/// The erased ingestion handle behind summarizer::feeder. The handle
+/// validates u64 pushes and stages them in `run`; push_run() receives each
+/// full run (or the partial one at flush). The staging state lives here, on
+/// the heap with the impl, so moving a feeder moves one pointer.
+/// summarizer::make_feeder() fills in the run length and the key/weight
+/// kind.
 struct feeder_impl {
+    static constexpr std::size_t run_capacity = 256;
+
     virtual ~feeder_impl() = default;
-    virtual void push(std::uint64_t id, double weight) = 0;
+    /// Ingests one run of validated u64 updates, in push order.
+    virtual void push_run(std::span<const update64d> run) = 0;
     virtual void push(std::string_view item, double weight) = 0;
     virtual void flush() = 0;
+
+    std::array<update64d, run_capacity> run;
+    std::size_t staged = 0;                 ///< run[0, staged) awaits dispatch
+    std::size_t run_length = run_capacity;  ///< dispatch once this many are staged
+    std::uint64_t tally = 0;                ///< pushes not yet added to facade_updates
+    bool text_keys = false;
+    bool counts = true;
 };
 
 /// The erased summary behind summarizer. The builder and restore_summary
@@ -73,6 +109,13 @@ struct summarizer_impl {
     virtual void update(std::uint64_t id, double weight) = 0;
     virtual void update(std::string_view item, double weight) = 0;
     virtual void update(std::span<const update64> batch) = 0;
+    /// A standalone feeder's run. The handle has validated every element;
+    /// the default applies them one by one through update().
+    virtual void apply_run(std::span<const update64d> run) {
+        for (const update64d& u : run) {
+            update(u.id, u.weight);
+        }
+    }
     virtual std::unique_ptr<feeder_impl> make_feeder() = 0;
     virtual void flush() = 0;
 
@@ -131,29 +174,96 @@ public:
     /// A single-threaded ingestion handle; distinct feeders may run on
     /// distinct threads concurrently. For a sharded summarizer each feeder
     /// wraps a real engine producer (wait-free SPSC hand-off); for a
-    /// standalone one it forwards to the summary and concurrency must be
-    /// external. Destruction flushes; feeders must not outlive their
-    /// summarizer.
+    /// standalone one it applies to the summary and concurrency must be
+    /// external.
+    ///
+    /// A u64 push is checked on the spot: a wrong-kind key or an invalid
+    /// weight throws from that push() and leaves the updates pushed before
+    /// it staged. A standalone feeder then stages the update in a
+    /// 256-update run that reaches the summary in one call when it fills;
+    /// a sharded one hands it straight to its producer, which stages per
+    /// shard. Either way, pushes are guaranteed visible to queries only
+    /// after flush(), and summarizer::tick() does not flush feeders: flush
+    /// them first, or their staged updates age under the next epoch.
+    /// Text pushes are not staged by the handle.
+    ///
+    /// Destruction, and move-assigning over a feeder, apply its staged run.
+    /// Feeders must not outlive their summarizer.
     class feeder {
     public:
         explicit feeder(std::unique_ptr<detail::feeder_impl> impl)
             : impl_(std::move(impl)) {}
 
+        feeder(feeder&&) noexcept = default;
+        feeder& operator=(feeder&& other) noexcept {
+            if (this != &other) {
+                drain();
+                impl_ = std::move(other.impl_);
+            }
+            return *this;
+        }
+        feeder(const feeder&) = delete;
+        feeder& operator=(const feeder&) = delete;
+        ~feeder() { drain(); }
+
         void push(std::uint64_t id, double weight = 1.0) {
-            impl_->push(id, weight);
-            obs::pipeline().facade_updates.add(1);
+            detail::feeder_impl& f = *impl_;
+            if (f.text_keys) {
+                detail::wrong_key_kind("text", "u64");
+            }
+            detail::require_weight(weight, f.counts);
+            f.run[f.staged] = update64d{id, weight};
+            if (++f.staged == f.run_length) {
+                dispatch();
+            }
         }
         void push(std::string_view item, double weight = 1.0) {
             impl_->push(item, weight);
-            obs::pipeline().facade_updates.add(1);
+            count(1);
         }
 
         /// Makes everything pushed so far visible to queries (for a sharded
         /// summarizer: published to the shard rings; pair with
         /// summarizer::flush() for an applied-barrier).
-        void flush() { impl_->flush(); }
+        void flush() {
+            dispatch();
+            add_tally();
+            impl_->flush();
+        }
 
     private:
+        /// Hands the staged run to the impl. `staged` is cleared first, so
+        /// an exception from the impl cannot replay the run.
+        void dispatch() {
+            detail::feeder_impl& f = *impl_;
+            if (const std::size_t n = f.staged; n > 0) {
+                f.staged = 0;
+                f.push_run(std::span<const update64d>(f.run.data(), n));
+                count(n);
+            }
+        }
+
+        /// facade_updates is added from a plain tally: on flush, on
+        /// destruction and every 4096 pushes, never per push.
+        void count(std::size_t n) {
+            if ((impl_->tally += n) >= 4096) {
+                add_tally();
+            }
+        }
+        void add_tally() {
+            if (impl_->tally > 0) {
+                obs::pipeline().facade_updates.add(impl_->tally);
+                impl_->tally = 0;
+            }
+        }
+
+        void drain() {
+            if (impl_ != nullptr) {
+                dispatch();
+                add_tally();
+            }
+        }
+
         std::unique_ptr<detail::feeder_impl> impl_;
     };
 
@@ -196,8 +306,17 @@ public:
         obs::pipeline().facade_updates.add(batch.size());
     }
 
-    /// Concurrent ingestion handle (see feeder).
-    feeder make_feeder() { return feeder(checked().make_feeder()); }
+    /// Concurrent ingestion handle (see feeder). Standalone feeders stage
+    /// full runs; sharded ones stage nothing (run length 1), since their
+    /// producer already stages per shard.
+    feeder make_feeder() {
+        detail::summarizer_impl& s = checked();
+        std::unique_ptr<detail::feeder_impl> f = s.make_feeder();
+        f->run_length = s.sharded() ? 1 : detail::feeder_impl::run_capacity;
+        f->text_keys = s.descriptor().keys == key_kind::text;
+        f->counts = s.descriptor().weights == weight_kind::counts;
+        return feeder(std::move(f));
+    }
 
     /// Barrier: everything already pushed (and flushed) by feeders is
     /// applied before this returns. No-op for standalone summaries.

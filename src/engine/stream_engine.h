@@ -205,7 +205,8 @@ public:
               filter_(std::move(other.filter_)),
               filter_ticks_(other.filter_ticks_),
               stalls_(other.stalls_),
-              spelling_rejects_(other.spelling_rejects_) {
+              spelling_rejects_(other.spelling_rejects_),
+              dedupe_hits_(other.dedupe_hits_) {
             other.engine_ = nullptr;
         }
         producer(const producer&) = delete;
@@ -276,7 +277,7 @@ public:
                     engine_->spelling_rejects_.fetch_add(1, std::memory_order_relaxed);
                 }
             } else {
-                obs::pipeline().spelling_dedupe_hits.add(1);
+                ++dedupe_hits_;
             }
             auto& stage = stages_[s];
             stage.push_back(update_type{fp, weight});
@@ -347,6 +348,13 @@ public:
                 m.engine_publishes.add(1);
                 m.engine_ring_occupancy.record(ring.size());
             }
+            // Dedupe hits since the last publish of any shard. Each one
+            // staged an update that is still unpublished, so flush() always
+            // reaches a publish that adds it.
+            if (dedupe_hits_ > 0) {
+                obs::pipeline().spelling_dedupe_hits.add(dedupe_hits_);
+                dedupe_hits_ = 0;
+            }
             stages_[s].clear();
         }
 
@@ -362,6 +370,7 @@ public:
         std::size_t filter_ticks_ = 0;           ///< pushes since the last eviction
         std::uint64_t stalls_ = 0;
         std::uint64_t spelling_rejects_ = 0;
+        std::uint64_t dedupe_hits_ = 0;  ///< not yet added to spelling_dedupe_hits
     };
 
     explicit stream_engine(const engine_config& cfg) : cfg_(cfg) {

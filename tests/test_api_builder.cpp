@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -15,6 +16,7 @@
 
 #include "api/builder.h"
 #include "api/summarizer.h"
+#include "obs/pipeline_metrics.h"
 #include "random/xoshiro.h"
 #include "stream/exact_counter.h"
 #include "stream/generators.h"
@@ -443,6 +445,145 @@ TEST(ApiSummarizer, UpdateDoesNotConsumeFeederSlots) {
     s.flush();
     EXPECT_DOUBLE_EQ(s.estimate(1), 3.0);
 }
+
+// --- standalone feeder staging ------------------------------------------------
+
+/// 1000 pushes: three full 256-update runs and a partial one.
+constexpr std::uint64_t staged_pushes = 1000;
+
+TEST(ApiFeederStaging, StagedRunsSaveTheSameBytesAsPerItemUpdates) {
+    struct spec {
+        const char* name;
+        builder b;
+        bool real = false;              ///< fractional weights
+        std::uint64_t tick_every = 0;   ///< flush-then-tick cadence (0: never)
+    };
+    std::vector<spec> specs;
+    specs.push_back({"plain counts", builder().max_counters(64).seed(1)});
+    specs.push_back({"fading real weights",
+                     builder().max_counters(64).seed(2).fading(0.9), true, 300});
+    specs.push_back({"windowed counts",
+                     builder().max_counters(64).seed(3).sliding_window(2), false, 300});
+    specs.push_back({"map backend", builder().max_counters(64).storage(storage::map)});
+    specs.push_back({"space_saving",
+                     builder().max_counters(64).algorithm(algo::space_saving)});
+    const auto stream = test_stream(71, staged_pushes);
+    for (auto& sp : specs) {
+        SCOPED_TRACE(sp.name);
+        auto per_item = sp.b.build();
+        auto staged = sp.b.build();
+        auto f = staged.make_feeder();
+        for (std::uint64_t i = 0; i < stream.size(); ++i) {
+            const double w = static_cast<double>(stream[i].weight) * (sp.real ? 0.37 : 1.0);
+            per_item.update(stream[i].id, w);
+            f.push(stream[i].id, w);
+            if (sp.tick_every > 0 && (i + 1) % sp.tick_every == 0) {
+                f.flush();
+                staged.tick();
+                per_item.tick();
+            }
+        }
+        f.flush();
+        ASSERT_GT(per_item.maximum_error(), 0.0) << "stream too small to decrement";
+        EXPECT_TRUE(staged.save() == per_item.save());
+    }
+}
+
+TEST(ApiFeederStaging, PushesBecomeVisibleAtFlushOrAFullRun) {
+    auto s = builder().max_counters(64).build();
+    auto f = s.make_feeder();
+    f.push(std::uint64_t{1}, 2.0);
+    EXPECT_DOUBLE_EQ(s.total_weight(), 0.0);  // staged, not yet applied
+    f.flush();
+    EXPECT_DOUBLE_EQ(s.total_weight(), 2.0);
+    for (std::size_t i = 0; i < detail::feeder_impl::run_capacity; ++i) {
+        f.push(std::uint64_t{2}, 1.0);  // the last one fills the run
+    }
+    EXPECT_DOUBLE_EQ(s.estimate(2), static_cast<double>(detail::feeder_impl::run_capacity));
+}
+
+TEST(ApiFeederStaging, DestroyingAnUnflushedFeederAppliesItsRun) {
+    auto s = builder().max_counters(64).build();
+    {
+        auto f = s.make_feeder();
+        for (std::uint64_t i = 0; i < 10; ++i) {
+            f.push(i, 3.0);
+        }
+    }
+    EXPECT_DOUBLE_EQ(s.total_weight(), 30.0);
+}
+
+TEST(ApiFeederStaging, MoveAssignmentKeepsTheTargetsStagedRun) {
+    auto a = builder().max_counters(64).build();
+    auto b = builder().max_counters(64).build();
+    auto f = a.make_feeder();
+    f.push(std::uint64_t{5}, 4.0);
+    auto g = b.make_feeder();
+    g.push(std::uint64_t{6}, 7.0);
+    f = std::move(g);  // f's run lands in a before f takes over g's feeder
+    EXPECT_DOUBLE_EQ(a.estimate(5), 4.0);
+    f.push(std::uint64_t{6}, 1.0);
+    f.flush();
+    EXPECT_DOUBLE_EQ(b.estimate(6), 8.0);
+    EXPECT_DOUBLE_EQ(a.total_weight(), 4.0);
+}
+
+TEST(ApiFeederStaging, BadPushesThrowAtThePushAndKeepEarlierOnes) {
+    auto counts = builder().max_counters(64).build();
+    auto real = builder().max_counters(64).real_weights().build();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    {
+        auto f = counts.make_feeder();
+        f.push(std::uint64_t{1}, 2.0);
+        EXPECT_THROW(f.push(std::uint64_t{1}, 1.5), std::invalid_argument);
+        f.push(std::uint64_t{1}, 3.0);
+        EXPECT_THROW(f.push(std::uint64_t{2}, -1.0), std::invalid_argument);
+        EXPECT_THROW(f.push(std::uint64_t{2}, nan), std::invalid_argument);
+        EXPECT_THROW(f.push(std::string_view("text"), 1.0), std::invalid_argument);
+        f.push(std::uint64_t{2}, 4.0);
+        f.flush();
+    }
+    EXPECT_DOUBLE_EQ(counts.estimate(1), 5.0);
+    EXPECT_DOUBLE_EQ(counts.estimate(2), 4.0);
+    EXPECT_DOUBLE_EQ(counts.total_weight(), 9.0);
+    {
+        auto f = real.make_feeder();
+        f.push(std::uint64_t{1}, 1.5);  // real weights take fractions
+        EXPECT_THROW(f.push(std::uint64_t{1}, -1.0), std::invalid_argument);
+        EXPECT_THROW(f.push(std::uint64_t{1}, nan), std::invalid_argument);
+        f.flush();
+    }
+    EXPECT_DOUBLE_EQ(real.total_weight(), 1.5);
+    auto text = builder().text_keys().max_counters(64).build();
+    {
+        auto f = text.make_feeder();
+        f.push("word", 1.0);
+        EXPECT_THROW(f.push(std::uint64_t{1}, 1.0), std::invalid_argument);
+        f.flush();
+    }
+    EXPECT_DOUBLE_EQ(text.total_weight(), 1.0);
+}
+
+#ifndef FREQ_OBS_OFF
+TEST(ApiFeederStaging, FacadeUpdatesCountEveryPushOnce) {
+    for (const bool shard : {false, true}) {
+        SCOPED_TRACE(shard ? "sharded" : "standalone");
+        builder b;
+        b.max_counters(64);
+        if (shard) {
+            b.sharded(2);
+        }
+        auto s = b.build();
+        const std::uint64_t before = obs::pipeline().facade_updates.value();
+        auto f = s.make_feeder();
+        for (std::uint64_t i = 0; i < 3 * staged_pushes; ++i) {  // crosses 4096 once
+            f.push(i % 97, 1.0);
+        }
+        f.flush();
+        EXPECT_EQ(obs::pipeline().facade_updates.value() - before, 3 * staged_pushes);
+    }
+}
+#endif
 
 TEST(ApiSummarizer, EmptySummarizerThrowsNotCrashes) {
     summarizer empty;

@@ -23,6 +23,7 @@
 #include "core/fingerprint_frequent_items.h"
 #include "core/string_frequent_items.h"
 #include "engine/stream_engine.h"
+#include "obs/pipeline_metrics.h"
 #include "random/xoshiro.h"
 #include "random/zipf.h"
 
@@ -86,6 +87,41 @@ TEST(EngineText, ShardedCountsMatchStandaloneGuarantees) {
     EXPECT_EQ(st.spellings_applied, st.spellings_enqueued);
     EXPECT_GT(st.spellings_applied, 0u);
 }
+
+#ifndef FREQ_OBS_OFF
+TEST(EngineText, SpellingTelemetryAccountsForEveryKeyedPush) {
+    // Every keyed push ends in exactly one of three spelling outcomes —
+    // enqueued, rejected by a full channel, or suppressed by the dedupe
+    // filter — and after flush() the telemetry has counted each once. The
+    // dedupe hits are tallied in the producer and added per publish.
+    const auto stream = word_stream(50'000, 3'000, 17);
+
+    engine_config cfg;
+    cfg.num_shards = 2;
+    cfg.num_producers = 1;
+    cfg.spelling_channel_capacity = 64;  // small enough to reject some
+    cfg.sketch = sketch_config{.max_counters = 256, .seed = 5};
+    stream_engine<std::uint64_t, std::uint64_t, string_frequent_items<std::uint64_t>>
+        engine(cfg);
+    auto& m = obs::pipeline();
+    const std::uint64_t hits0 = m.spelling_dedupe_hits.value();
+    const std::uint64_t enqueued0 = m.spelling_enqueued.value();
+    const std::uint64_t rejects0 = m.spelling_rejects.value();
+    {
+        auto producer = engine.make_producer();
+        for (const auto& [word, w] : stream) {
+            producer.push(std::string_view(word), w);
+        }
+        producer.flush();
+        const std::uint64_t hits = m.spelling_dedupe_hits.value() - hits0;
+        const std::uint64_t enqueued = m.spelling_enqueued.value() - enqueued0;
+        const std::uint64_t rejects = m.spelling_rejects.value() - rejects0;
+        EXPECT_GT(hits, 0u);
+        EXPECT_EQ(hits + enqueued + rejects, stream.size());
+    }
+    engine.flush();
+}
+#endif
 
 TEST(EngineText, SnapshotUnionsShardDictionarySlices) {
     const auto stream = word_stream(80'000, 2'000, 9);
