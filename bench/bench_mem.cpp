@@ -7,10 +7,10 @@
 ///      enough to defeat SSO, so the heap path pays one allocation per
 ///      distinct spelling while the arena path bump-allocates into mmap'd
 ///      blocks the operator-new hook never sees.
-///   B. allocation-free snapshot folds — a loaded incremental engine folded
-///      repeatedly into one reused target sketch; after warmup both the
-///      nothing-changed reuse path and the dirty-shard path must perform
-///      zero heap allocations per fold.
+///   B. allocation-free snapshot publishes — a loaded engine with the
+///      snapshot service republishing its pooled partitioned views; after
+///      warmup both the nothing-changed path and the dirty-shard path must
+///      perform zero heap allocations per publish.
 ///   C. placement on/off ingest throughput — the same u64 stream through a
 ///      default engine and one with hugepages + interleave requested. On
 ///      single-node or low-core hosts (this includes most CI containers)
@@ -20,6 +20,8 @@
 /// Emits BENCH_mem.json. Placement never affects results, so phase A also
 /// cross-checks that both backends report the same top-10.
 
+#include <algorithm>
+#include <chrono>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -93,21 +95,21 @@ spelling_run run_spelling(const std::vector<std::string>& keys,
     return r;
 }
 
-// --- phase B: allocation-free snapshot folds ---------------------------------
+// --- phase B: allocation-free snapshot publishes ------------------------------
 
-struct fold_run {
-    std::uint64_t repeat_allocs = 0;  ///< folds with nothing dirty
-    std::uint64_t dirty_allocs = 0;   ///< folds after fresh pushes
-    double dirty_fold_s = 0.0;        ///< mean seconds per dirty fold
+struct publish_run {
+    std::uint64_t repeat_allocs = 0;  ///< publishes with nothing dirty
+    std::uint64_t dirty_allocs = 0;   ///< publishes after fresh pushes
+    double dirty_publish_s = 0.0;     ///< mean seconds per push + flush + publish
 };
 
-fold_run run_folds(const update_stream<std::uint64_t, std::uint64_t>& stream) {
+publish_run run_publishes(const update_stream<std::uint64_t, std::uint64_t>& stream) {
     engine_config cfg;
     cfg.num_shards = 2;
     cfg.num_producers = 1;
     cfg.sketch = sketch_config{.max_counters = k, .seed = 1};
-    cfg.incremental_snapshots = true;
     stream_engine<> engine(cfg);
+    engine.enable_snapshot_service(std::chrono::hours(1));  // publishes on demand only
 
     auto producer = engine.make_producer();
     producer.push(std::span<const update64>(stream.data(), stream.size()));
@@ -115,25 +117,22 @@ fold_run run_folds(const update_stream<std::uint64_t, std::uint64_t>& stream) {
     engine.flush();
 
     // Repushes reuse ids already resident in the tables so steady-state
-    // folds never grow a vector — the ISSUE-10 claim is about allocator
-    // traffic per fold, not about table growth.
+    // publishes never grow a vector — the claim is about allocator traffic
+    // per publish, not about table growth.
     const std::size_t repush = std::min<std::size_t>(stream.size(), 4096);
-
-    stream_engine<>::sketch_type out(sketch_config{.max_counters = k, .seed = 1});
     for (int warm = 0; warm < 3; ++warm) {
         producer.push(std::span<const update64>(stream.data(), repush));
         producer.flush();
-        engine.flush();
-        engine.snapshot_into(out);
+        engine.flush();  // republishes
     }
-    engine.snapshot_into(out);  // warm the nothing-dirty reuse path too
+    engine.publish_snapshot_now();  // both pooled views current
 
-    fold_run r;
+    publish_run r;
     constexpr int rounds = 16;
     {
         bench::alloc_phase allocs;
         for (int i = 0; i < rounds; ++i) {
-            engine.snapshot_into(out);
+            engine.publish_snapshot_now();
         }
         r.repeat_allocs = allocs.count();
     }
@@ -144,9 +143,8 @@ fold_run run_folds(const update_stream<std::uint64_t, std::uint64_t>& stream) {
             producer.push(std::span<const update64>(stream.data(), repush));
             producer.flush();
             engine.flush();
-            engine.snapshot_into(out);
         }
-        r.dirty_fold_s = sw.seconds() / rounds;
+        r.dirty_publish_s = sw.seconds() / rounds;
         r.dirty_allocs = allocs.count();
     }
     engine.stop();
@@ -227,17 +225,16 @@ int main() {
                                .max_weight = 100,
                                .seed = 2024});
     const auto stream = gen.generate();
-    const fold_run folds = run_folds(stream);
-    bench::print_header("allocation-free snapshot folds",
-                        "path               allocs/16 folds   fold_s");
-    std::printf("reuse (clean)    %17" PRIu64 "        -\n", folds.repeat_allocs);
-    std::printf("incremental      %17" PRIu64 " %8.6f\n", folds.dirty_allocs,
-                folds.dirty_fold_s);
-    const bool zero_reuse = folds.repeat_allocs == 0;
-    const bool zero_dirty = folds.dirty_allocs == 0;
-    bench::check(zero_reuse, "nothing-dirty snapshot_into performs zero allocations");
-    bench::check(zero_dirty,
-                 "steady-state incremental snapshot_into performs zero allocations");
+    const publish_run pubs = run_publishes(stream);
+    bench::print_header("allocation-free snapshot publishes",
+                        "path               allocs/16 publishes   publish_s");
+    std::printf("nothing dirty    %21" PRIu64 "        -\n", pubs.repeat_allocs);
+    std::printf("dirty shards     %21" PRIu64 " %11.6f\n", pubs.dirty_allocs,
+                pubs.dirty_publish_s);
+    const bool zero_reuse = pubs.repeat_allocs == 0;
+    const bool zero_dirty = pubs.dirty_allocs == 0;
+    bench::check(zero_reuse, "nothing-dirty publish performs zero allocations");
+    bench::check(zero_dirty, "steady-state dirty-shard publish performs zero allocations");
 
     // --- phase C -------------------------------------------------------------
     const double plain_s = time_engine_ingest(stream, false);
@@ -284,10 +281,9 @@ int main() {
                      "%" PRIu64 ", \"alloc_bytes\": %" PRIu64 "}},\n",
                      arena.seconds, arena.alloc_count, arena.alloc_bytes);
         std::fprintf(json,
-                     "  \"folds\": {\"rounds\": 16, \"reuse_alloc_count\": %" PRIu64
-                     ", \"incremental_alloc_count\": %" PRIu64
-                     ", \"incremental_fold_s\": %.6g},\n",
-                     folds.repeat_allocs, folds.dirty_allocs, folds.dirty_fold_s);
+                     "  \"publishes\": {\"rounds\": 16, \"clean_alloc_count\": %" PRIu64
+                     ", \"dirty_alloc_count\": %" PRIu64 ", \"dirty_publish_s\": %.6g},\n",
+                     pubs.repeat_allocs, pubs.dirty_allocs, pubs.dirty_publish_s);
         std::fprintf(json,
                      "  \"placement\": {\"default_seconds\": %.6g, "
                      "\"placed_seconds\": %.6g, \"gated\": %s},\n",
@@ -301,8 +297,8 @@ int main() {
                      obs::pipeline().mem_arena_resets.value());
         std::fprintf(json,
                      "  \"acceptance\": {\"same_top10\": %s, "
-                     "\"arena_allocs_le_heap\": %s, \"reuse_fold_zero_alloc\": %s, "
-                     "\"incremental_fold_zero_alloc\": %s, \"gated\": %s, "
+                     "\"arena_allocs_le_heap\": %s, \"clean_publish_zero_alloc\": %s, "
+                     "\"dirty_publish_zero_alloc\": %s, \"gated\": %s, "
                      "\"placement_within_20pct\": %s}\n",
                      same_top ? "true" : "false", arena_fewer ? "true" : "false",
                      zero_reuse ? "true" : "false", zero_dirty ? "true" : "false",

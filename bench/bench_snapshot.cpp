@@ -5,18 +5,12 @@
 /// path), and a reader acquiring the cached double-buffered view
 /// (engine/snapshot_service.h).
 ///
-/// Phase C measures the incremental fold (engine_config::incremental_snapshots,
-/// the default): publish cost as a function of how many of the 8 shards
-/// actually mutated between snapshots, against the fold-every-shard
-/// baseline the other phases use.
-///
 /// Emits a table on stdout and machine-readable BENCH_snapshot.json in the
-/// working directory (wired into CI). Acceptance targets: cached-view point
-/// queries >= 10x faster than fold-on-demand at 8 shards, and incremental
-/// publishes >= 2x faster than the full fold when <= 25% of shards are
-/// dirty — both on a machine with >= 4 hardware threads; smaller machines
-/// degrade the checks to explicit [INFO] lines, like the other engine
-/// benches.
+/// working directory (wired into CI). Acceptance target: cached-view point
+/// queries >= 10x faster than fold-on-demand at 8 shards on a machine with
+/// >= 4 hardware threads; smaller machines degrade the check to an explicit
+/// [INFO] line, like the other engine benches. (Publish cost per dirty
+/// shard is what perfbench's sharded_live flush and engine rows measure.)
 ///
 ///   build/bench_snapshot            # FREQ_BENCH_SCALE scales the stream
 
@@ -41,14 +35,11 @@ using stream_t = update_stream<std::uint64_t, std::uint64_t>;
 constexpr std::uint32_t k = 2048;
 constexpr std::uint32_t shards = 8;
 
-engine_config make_cfg(bool incremental) {
+engine_config make_cfg() {
     engine_config cfg;
     cfg.num_shards = shards;
     cfg.num_producers = 1;
     cfg.sketch = sketch_config{.max_counters = k, .seed = 1};
-    // Phases A and B measure the fold-every-shard read path (and the cached
-    // service on top of it), so they pin the flag off; phase C compares.
-    cfg.incremental_snapshots = incremental;
     return cfg;
 }
 
@@ -105,7 +96,7 @@ struct ingest_run {
 /// queries continuously in the requested mode; returns ingest wall time.
 ingest_run time_ingest(const stream_t& stream, reader_mode mode,
                        std::span<const std::uint64_t> ids) {
-    stream_engine<> engine(make_cfg(false));
+    stream_engine<> engine(make_cfg());
     if (mode == reader_mode::cached) {
         engine.enable_snapshot_service(std::chrono::milliseconds(2));
     }
@@ -165,7 +156,7 @@ int main() {
                 static_cast<unsigned long long>(n), k, shards, hw);
 
     // --- phase A: read latency against a loaded, idle engine -----------------
-    stream_engine<> engine(make_cfg(false));
+    stream_engine<> engine(make_cfg());
     {
         auto producer = engine.make_producer();
         producer.push(std::span<const update64>(stream.data(), stream.size()));
@@ -213,104 +204,11 @@ int main() {
                 static_cast<double>(cached.reader_queries) / cached.seconds,
                 static_cast<unsigned long long>(cached.publishes));
 
-    // --- phase C: incremental fold cost vs dirty fraction --------------------
-    // A loaded engine with incremental_snapshots on: between publishes,
-    // exactly D of the 8 shards receive traffic, so each publish re-clones
-    // and re-merges D shards and serves the rest from the cached clean fold.
-    // The baseline is the same publish against the fold-every-shard path.
-    constexpr unsigned dirty_counts[] = {0, 1, 2, 4, 8};
-    constexpr int fold_rounds = 50;
-    double inc_ns[sizeof(dirty_counts) / sizeof(dirty_counts[0])] = {};
-    double full_ns = 0.0;
-    {
-        stream_engine<> inc_engine(make_cfg(true));
-        stream_engine<> base_engine(make_cfg(false));
-        for (auto* e : {&inc_engine, &base_engine}) {
-            auto producer = e->make_producer();
-            producer.push(std::span<const update64>(stream.data(), stream.size()));
-            producer.flush();
-            e->flush();
-        }
-        // One live key per shard so a round can dirty exactly D shards.
-        std::vector<std::uint64_t> shard_key(shards);
-        for (std::uint32_t s = 0; s < shards; ++s) {
-            std::uint64_t id = 0;
-            while (inc_engine.shard_of(id) != s) {
-                ++id;
-            }
-            shard_key[s] = id;
-        }
-        auto p = inc_engine.make_producer();
-        for (std::size_t d = 0; d < sizeof(dirty_counts) / sizeof(dirty_counts[0]);
-             ++d) {
-            const unsigned D = dirty_counts[d];
-            auto dirty_round = [&] {
-                for (unsigned s = 0; s < D; ++s) {
-                    p.push(shard_key[s], 1);
-                }
-                p.flush();
-                inc_engine.flush();
-            };
-            // Two untimed warm rounds: populate the clone cache and absorb
-            // the one-time clean-set membership rebuild for this D.
-            for (int w = 0; w < 2; ++w) {
-                dirty_round();
-                sink += inc_engine.snapshot().total_weight();
-            }
-            double total = 0.0;
-            for (int r = 0; r < fold_rounds; ++r) {
-                dirty_round();
-                bench::stopwatch ssw;
-                sink += inc_engine.snapshot().total_weight();
-                total += ssw.seconds();
-            }
-            inc_ns[d] = total / fold_rounds * 1e9;
-        }
-        {
-            auto bp = base_engine.make_producer();
-            double total = 0.0;
-            for (int r = 0; r < fold_rounds; ++r) {
-                bp.push(shard_key[r % shards], 1);
-                bp.flush();
-                base_engine.flush();
-                bench::stopwatch ssw;
-                sink += base_engine.snapshot().total_weight();
-                total += ssw.seconds();
-            }
-            full_ns = total / fold_rounds * 1e9;
-        }
-    }
-    if (sink == 0xdeadbeef) {
-        std::printf("impossible\n");
-    }
-
-    bench::print_header("incremental snapshot publish cost (8 shards, loaded)",
-                        "dirty shards        ns/publish    vs full fold");
-    std::printf("%-18s %13.0f %14.2fx\n", "full fold (off)", full_ns, 1.0);
-    for (std::size_t d = 0; d < sizeof(dirty_counts) / sizeof(dirty_counts[0]); ++d) {
-        std::printf("%-18u %13.0f %14.2fx\n", dirty_counts[d], inc_ns[d],
-                    full_ns / inc_ns[d]);
-    }
-
     // Acceptance: cached-view reads >= 10x faster than fold-on-demand at 8
     // shards. Below 4 hardware threads the numbers are still recorded but
     // the check degrades to an explicit [INFO] line — it must never
     // silently count as a PASS it did not earn.
     const bool accepted = read_speedup >= 10.0;
-    // Incremental gate: at <= 25% dirty shards (D=2 of 8) the publish must
-    // be >= 2x cheaper than the full fold.
-    const double inc_speedup = full_ns / inc_ns[2];
-    const bool inc_accepted = inc_speedup >= 2.0;
-    if (hw >= 4) {
-        bench::check(inc_accepted,
-                     "incremental publish >= 2x faster than full fold at <= 25% "
-                     "dirty shards");
-    } else {
-        std::printf("[INFO] incremental publish speedup %.1fx at 2/8 dirty shards %s "
-                    "the 2x acceptance target — informational only: %u hardware "
-                    "thread(s) < 4 required for the gate\n",
-                    inc_speedup, inc_accepted ? "meets" : "misses", hw);
-    }
     if (hw >= 4) {
         bench::check(accepted,
                      "cached-view point queries >= 10x faster than fold-on-demand "
@@ -334,20 +232,8 @@ int main() {
         allocs.write_json_fields(json, "");
         std::fprintf(json, ",\n");
         std::fprintf(json, "  \"acceptance\": {\"target_read_speedup\": 10.0, "
-                     "\"gated\": %s, \"met\": %s, "
-                     "\"target_incremental_speedup\": 2.0, "
-                     "\"incremental_met\": %s},\n",
-                     hw >= 4 ? "true" : "false", accepted ? "true" : "false",
-                     inc_accepted ? "true" : "false");
-        std::fprintf(json, "  \"incremental_fold\": {\"full_fold_ns\": %.1f, "
-                     "\"speedup_at_2_of_8_dirty\": %.2f, \"points\": [",
-                     full_ns, inc_speedup);
-        for (std::size_t d = 0; d < sizeof(dirty_counts) / sizeof(dirty_counts[0]);
-             ++d) {
-            std::fprintf(json, "%s{\"dirty\": %u, \"ns\": %.1f}", d == 0 ? "" : ", ",
-                         dirty_counts[d], inc_ns[d]);
-        }
-        std::fprintf(json, "]},\n");
+                     "\"gated\": %s, \"met\": %s},\n",
+                     hw >= 4 ? "true" : "false", accepted ? "true" : "false");
         const auto fold_lat = fold_rec.summarize();
         const auto cached_lat = cached_rec.summarize();
         std::fprintf(json, "  \"read_latency\": {\"fold_ns\": %.1f, \"cached_ns\": %.1f, "

@@ -166,20 +166,6 @@ private:
     summarizer_impl* owner_;
 };
 
-/// Lifetime-policy clock of a core summary (0 for plain). Windowed cores
-/// and the text cores keep their own clock; decaying ones keep it in the
-/// policy.
-template <typename Sketch>
-std::uint64_t clock_of(const Sketch& s) {
-    if constexpr (requires { s.now(); }) {
-        return s.now();
-    } else if constexpr (Sketch::lifetime_policy::decaying) {
-        return s.policy().now();
-    } else {
-        return 0;
-    }
-}
-
 /// Two summaries may merge when their tags agree and the policy parameters
 /// the template layer insists on (equal decay / equal window) match; seeds
 /// and capacities may differ — §3.2 even recommends distinct hash seeds.
@@ -205,15 +191,15 @@ inline void require_merge_compatible(const summary_descriptor& a,
 /// The one erased summary: any core summary \p Sketch (u64- or text-keyed,
 /// as summary_traits<Sketch>::keys says), standalone or engine-sharded.
 ///
-/// Standalone, it owns the sketch: updates go straight to sketch.update()
-/// and reads answer from the sketch itself. Sharded, it owns a
-/// stream_engine over per-shard copies of \p Sketch: updates route through
-/// a lazily created internal producer (feeders get producers of their
-/// own), and reads answer from the freshest consistent view (see
-/// with_view). A sharded text summary's producers fingerprint keys onto
-/// the ring hot path, each shard owns its spelling-dictionary slice, and
-/// every view is a full string summary — so estimate("alice") and
-/// top_items() answer with spellings straight off the view.
+/// Standalone, it owns the sketch: updates go straight to sketch.update().
+/// Sharded, it owns a stream_engine over per-shard copies of \p Sketch:
+/// updates route through a lazily created internal producer (feeders get
+/// producers of their own). Either way every read answers from a
+/// partitioned view (see with_view), so each read method is written once.
+/// A sharded text summary's producers fingerprint keys onto the ring hot
+/// path and each shard owns its spelling-dictionary slice, so
+/// estimate("alice") asks the key's shard and top_items() reports each
+/// shard's spellings.
 template <typename Sketch, bool Sharded>
 class facade_summary final : public summarizer_impl {
 public:
@@ -293,7 +279,7 @@ public:
         if constexpr (Sharded) {
             return state_.now;
         } else {
-            return clock_of(state_);
+            return with_view([](const auto& v) { return v.now(); });
         }
     }
 
@@ -337,17 +323,16 @@ public:
     double upper_bound(std::string_view item) const override { return point(item, upper_of); }
 
     double total_weight() const override {
-        return with_view([](const Sketch& s) { return static_cast<double>(s.total_weight()); });
+        return with_view([](const auto& v) { return static_cast<double>(v.total_weight()); });
     }
     double maximum_error() const override {
-        return with_view([](const Sketch& s) { return static_cast<double>(s.maximum_error()); });
+        return with_view([](const auto& v) { return static_cast<double>(v.maximum_error()); });
     }
+    /// Summed over shards when sharded (capacity() stays per shard).
     std::uint32_t num_counters() const override {
-        return with_view([](const Sketch& s) {
-            return static_cast<std::uint32_t>(s.num_counters());
-        });
+        return with_view([](const auto& v) { return v.num_counters(); });
     }
-    /// A sharded summary reports its per-shard k without folding a view.
+    /// A sharded summary reports its per-shard k without copying a view.
     std::uint32_t capacity() const override {
         if constexpr (Sharded) {
             return desc_.sketch.max_counters;
@@ -356,29 +341,20 @@ public:
         }
     }
     std::size_t memory_bytes() const override {
-        return with_view([&](const Sketch& s) {
-            // Counter tables exist once per shard; a text view's dictionary
-            // is already the *union* of the per-shard slices, so it counts
-            // once.
-            std::size_t dict = 0;
-            if constexpr (text_keys) {
-                dict = s.dictionary().memory_bytes();
-            }
-            return (s.memory_bytes() - dict) * num_shards() + dict;
-        });
+        return with_view([](const auto& v) { return v.memory_bytes(); });
     }
 
     // --- set queries ---------------------------------------------------------
 
     result_set frequent_items(error_mode mode, double threshold) const override {
-        return with_view([&](const Sketch& s) {
-            return result_of(s, mode, threshold,
-                             s.frequent_items(mode, facade_threshold<W>(threshold)));
+        return with_view([&](const auto& v) {
+            return result_of(v, mode, threshold,
+                             v.frequent_items(mode, facade_threshold<W>(threshold)));
         });
     }
     result_set top_items(std::size_t m) const override {
-        return with_view([&](const Sketch& s) {
-            return result_of(s, error_mode::no_false_negatives, 0.0, top_rows(s, m));
+        return with_view([&](const auto& v) {
+            return result_of(v, error_mode::no_false_negatives, 0.0, top_rows(v, m));
         });
     }
 
@@ -386,14 +362,17 @@ public:
 
     // The documented save() contract is a *stream-complete* standalone
     // summary: a sharded one drains its internal producer and the rings
-    // first. With the service on, flush() already republished a
-    // stream-complete view, which with_view serializes instead of folding a
-    // second time. Text images are canonical (one unioned dictionary
-    // segment), byte-identical to what the restored standalone summary
-    // re-saves.
+    // first, then folds the shards from scratch (stream_engine::snapshot),
+    // so the bytes depend only on the shards' states. Text images are
+    // canonical (one unioned dictionary segment), byte-identical to what
+    // the restored standalone summary re-saves.
     summary_bytes save() override {
-        flush();
-        return with_view([](const Sketch& s) { return envelope_save(s); });
+        if constexpr (Sharded) {
+            flush();
+            return envelope_save(state_.engine.snapshot());
+        } else {
+            return envelope_save(state_);
+        }
     }
 
     void merge_from([[maybe_unused]] const summarizer_impl& other) override {
@@ -441,15 +420,9 @@ private:
     static constexpr bool text_keys = summary_traits<Sketch>::keys == key_kind::text;
     static constexpr bool map_backed = summary_traits<Sketch>::backend == backend_kind::map;
 
-    static constexpr auto estimate_of = [](const Sketch& s, auto key) {
-        return s.estimate(key);
-    };
-    static constexpr auto lower_of = [](const Sketch& s, auto key) {
-        return s.lower_bound(key);
-    };
-    static constexpr auto upper_of = [](const Sketch& s, auto key) {
-        return s.upper_bound(key);
-    };
+    static constexpr auto estimate_of = [](const auto& v, auto key) { return v.estimate(key); };
+    static constexpr auto lower_of = [](const auto& v, auto key) { return v.lower_bound(key); };
+    static constexpr auto upper_of = [](const auto& v, auto key) { return v.upper_bound(key); };
 
     /// Runs \p f on \p key when its type fits this summary's key kind —
     /// string views for text summaries, ids and update spans for u64 ones —
@@ -517,14 +490,15 @@ private:
     template <typename Key, typename Read>
     double point(Key key, Read read) const {
         return keyed<double>(key, [&](auto k) {
-            return with_view([&](const Sketch& s) { return static_cast<double>(read(s, k)); });
+            return with_view([&](const auto& v) { return static_cast<double>(read(v, k)); });
         });
     }
 
-    /// Runs \p f over the freshest consistent view: the sketch itself when
-    /// standalone. Sharded, the cached published snapshot when the service
-    /// is on (pinned for the duration of the call), otherwise a fresh
-    /// O(k·S) fold on this thread — cache one per query batch through
+    /// Runs \p f over a partitioned view (engine/partitioned_view.h) of
+    /// the freshest consistent state. Standalone, a one-part view that
+    /// borrows the sketch. Sharded, the published view when the snapshot
+    /// service is on (pinned for the duration of the call), otherwise one
+    /// built on this thread by copying every shard (no merge) — hold a
     /// snapshot() when querying many ids without the service.
     template <typename F>
     auto with_view(F&& f) const {
@@ -533,41 +507,33 @@ private:
                 const auto view = state_.engine.acquire_snapshot();
                 return f(*view);
             }
-            const Sketch snap = state_.engine.snapshot();
-            return f(snap);
+            return f(state_.engine.view());
         } else {
-            return f(state_);
+            return f(partitioned_view<Sketch, std::span<const Sketch>>({&state_, 1}, {}));
         }
     }
 
-    std::size_t num_shards() const {
-        if constexpr (Sharded) {
-            return state_.engine.num_shards();
-        } else {
-            return 1;
-        }
-    }
-
-    static auto top_rows(const Sketch& s, std::size_t m) {
+    template <typename View>
+    static auto top_rows(const View& v, std::size_t m) {
         if constexpr (map_backed) {
             // The map core has no top_items(); every tracked item clears an
             // upper-bound threshold of 0, and rows arrive estimate-sorted.
-            auto rows = s.frequent_items(error_mode::no_false_negatives, W{0});
+            auto rows = v.parts()[0].frequent_items(error_mode::no_false_negatives, W{0});
             if (rows.size() > m) {
                 rows.resize(m);
             }
             return rows;
         } else {
-            return s.top_items(m);
+            return v.top_items(m);
         }
     }
 
-    template <typename Rows>
-    static result_set result_of(const Sketch& s, error_mode mode, double threshold,
+    template <typename View, typename Rows>
+    static result_set result_of(const View& v, error_mode mode, double threshold,
                                 const Rows& core_rows) {
         auto rows = facade_rows(core_rows);
-        const double err = result_error(static_cast<double>(s.maximum_error()), rows);
-        return result_set(mode, threshold, static_cast<double>(s.total_weight()), err,
+        const double err = result_error(static_cast<double>(v.maximum_error()), rows);
+        return result_set(mode, threshold, static_cast<double>(v.total_weight()), err,
                           std::move(rows));
     }
 
@@ -814,7 +780,7 @@ public:
                          "and the plain lifetime only");
         }
         FREQ_REQUIRE(!snapshot_interval_.has_value() || sharded_,
-                     "snapshot_every() caches the sharded engine's fold; add "
+                     "snapshot_every() caches the sharded engine's view; add "
                      ".sharded(...) or drop it for direct standalone reads");
         if (sharded_) {
             engine_config ecfg = engine_;

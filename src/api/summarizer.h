@@ -125,11 +125,11 @@ struct summarizer_impl {
 
     // --- cached read path (engine-backed summarizers only) -------------------
     // Default: standalone summaries answer queries directly from their own
-    // state — there is no fold to cache — so enabling is rejected and the
+    // state — there are no shards to copy — so enabling is rejected and the
     // service reads as off.
     virtual void enable_snapshot_service(std::chrono::microseconds) {
         FREQ_REQUIRE(false,
-                     "the snapshot service caches the sharded engine's fold; this "
+                     "the snapshot service caches the sharded engine's view; this "
                      "summarizer is standalone — build it with .sharded(...)");
     }
     virtual void disable_snapshot_service() {}
@@ -336,16 +336,16 @@ public:
     /// Opt-in for sharded summarizers: starts the engine's background
     /// snapshot publisher (engine/snapshot_service.h) so point and set
     /// queries answer from a cached double-buffered view — a pointer
-    /// acquire instead of an O(k·S) fold per call — at a staleness bounded
-    /// by \p interval. flush() and tick() republish synchronously, so the
+    /// acquire instead of copying every shard per call — at a staleness
+    /// bounded by \p interval. flush() and tick() republish synchronously, so the
     /// flush-then-query discipline still observes everything flushed.
     /// Throws for standalone summarizers (their reads are already direct).
     void enable_snapshot_service(std::chrono::microseconds interval) {
         checked().enable_snapshot_service(interval);
     }
 
-    /// Returns reads to fold-on-demand. No-op when the service is off or
-    /// the summarizer is standalone.
+    /// Returns reads to per-call shard copies. No-op when the service is
+    /// off or the summarizer is standalone.
     void disable_snapshot_service() { checked().disable_snapshot_service(); }
 
     /// Whether queries are currently served from the cached view.
@@ -353,7 +353,7 @@ public:
 
     /// Publish sequence number of the cached view (0 when the service is
     /// off): strictly increases with every publish, so two reads with equal
-    /// epochs observed the same consistent fold.
+    /// epochs observed the same consistent view.
     std::uint64_t snapshot_epoch() const { return checked().snapshot_epoch(); }
 
     // --- point queries -------------------------------------------------------
@@ -376,8 +376,12 @@ public:
 
     /// The a-posteriori error envelope: every estimate is within this of
     /// the truth, and threshold queries are exact outside a band this wide.
+    /// Sharded, each key is answered by its own shard, so this is the
+    /// largest shard's bound (snapshot()'s merged bound is their sum).
     double maximum_error() const { return checked().maximum_error(); }
 
+    /// Live counters. A sharded summarizer sums them over its shards, while
+    /// capacity() stays the per-shard k, so num_counters() may exceed it.
     std::uint32_t num_counters() const { return checked().num_counters(); }
     std::uint32_t capacity() const { return checked().capacity(); }
     std::size_t memory_bytes() const { return checked().memory_bytes(); }

@@ -235,14 +235,14 @@ public:
     /// threshold = φ·N this returns every (φ, ε)-heavy hitter (§1.2).
     std::vector<row> frequent_items(error_type et, W threshold) const {
         std::vector<row> out;
-        table_.for_each([&](K id, W c) {
-            const W lb = present(c);
-            const W ub = present(c + offset_);
-            const W bound = et == error_type::no_false_positives ? lb : ub;
-            if (bound > threshold) {
-                out.push_back(row{id, ub, lb, ub});
-            }
-        });
+        const auto emit = [&](K id, W c) {
+            out.push_back(row{id, present(c + offset_), present(c), present(c + offset_)});
+        };
+        if (et == error_type::no_false_positives) {
+            table_.for_each_if([&](W c) { return present(c) > threshold; }, emit);
+        } else {
+            table_.for_each_if([&](W c) { return present(c + offset_) > threshold; }, emit);
+        }
         std::sort(out.begin(), out.end(),
                   [](const row& a, const row& b) { return a.estimate > b.estimate; });
         return out;

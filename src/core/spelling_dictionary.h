@@ -181,8 +181,8 @@ public:
     }
 
     /// Copy-assign rewinds the existing arena instead of replacing it, so a
-    /// steady-state clone-into cycle (the engine's incremental snapshot
-    /// fold) reuses the same hot block.
+    /// steady-state clone-into cycle (the engine's snapshot publish)
+    /// reuses the same hot block.
     spelling_dictionary& operator=(const spelling_dictionary& other) {
         if (this != &other) {
             prune_limit_ = other.prune_limit_;

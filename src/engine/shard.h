@@ -26,6 +26,7 @@
 ///  * spellings().try_push() — any producer (mutex-guarded MPSC).
 ///  * drain()                — the shard's single worker thread only.
 ///  * clone_sketch(), tick() — any thread; take the sketch mutex.
+///  * fail()                 — the worker, once, when drain() throws.
 ///
 /// The sketch mutex is held only while a drained batch (or spelling run) is
 /// applied, while the sketch is being cloned for a snapshot, or while the
@@ -37,6 +38,7 @@
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -175,8 +177,8 @@ public:
 
     /// Copy-assigning clone for callers that keep a reusable target: the
     /// target's backing arrays (counter table vectors, dictionary arena)
-    /// are reused when capacities match, so a steady-state fold cycle
-    /// (stream_engine::snapshot_into) performs no heap allocation. Same
+    /// are reused when capacities match, so a steady-state publish
+    /// (partitioned_view::copy_dirty) performs no heap allocation. Same
     /// consistency contract as clone_sketch().
     void clone_sketch_into(Sketch& out) const {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -198,12 +200,11 @@ public:
     /// Monotonic dirty generation: advances whenever the shard sketch
     /// mutates — a ring batch applied, a spelling drained, or a lifetime
     /// tick. Composed from the cursors those paths already maintain, so the
-    /// drain hot path pays nothing extra. Incremental snapshot folds
-    /// (stream_engine::snapshot()) compare generations across publishes to
-    /// skip re-cloning and re-merging idle shards; a reader that loads the
-    /// generation *before* cloning observes a value no newer than the clone,
-    /// so a mutation racing the clone can only make the next fold
-    /// conservatively re-merge, never serve stale state.
+    /// drain hot path pays nothing extra. Publishes compare generations to
+    /// skip re-copying idle shards (partitioned_view::copy_dirty); a reader
+    /// that loads the generation *before* cloning observes a value no newer
+    /// than the clone, so a mutation racing the clone can only make the
+    /// next publish copy again, never serve stale state.
     std::uint64_t generation() const noexcept {
         return applied() + spellings_applied() + ticks_.load(std::memory_order_acquire);
     }
@@ -226,6 +227,19 @@ public:
 
     std::uint64_t spellings_enqueued() const noexcept { return spellings_.pushed(); }
     std::uint64_t spellings_applied() const noexcept { return spellings_.applied(); }
+
+    /// Records the exception that stopped this shard's worker; the shard
+    /// drains no further, and rethrow_failure() reports it.
+    void fail(std::exception_ptr e) noexcept {
+        failure_ = std::move(e);
+        failed_.store(true, std::memory_order_release);
+    }
+    bool failed() const noexcept { return failed_.load(std::memory_order_acquire); }
+    void rethrow_failure() const {
+        if (failed()) {
+            std::rethrow_exception(failure_);
+        }
+    }
 
     /// Whether any accepted update or spelling has not reached the sketch
     /// yet (the flush barrier / worker-shutdown predicate).
@@ -282,6 +296,8 @@ private:
     std::atomic<std::uint64_t> applied_{0};
     std::atomic<std::uint64_t> batches_{0};
     std::atomic<std::uint64_t> ticks_{0};  ///< lifetime-clock component of generation()
+    std::exception_ptr failure_;           ///< written once, before failed_
+    std::atomic<bool> failed_{false};
 };
 
 }  // namespace freq

@@ -2,26 +2,26 @@
 #define FREQ_ENGINE_SNAPSHOT_SERVICE_H
 
 /// \file snapshot_service.h
-/// The async snapshot publisher: moves the engine's fold-on-demand read
-/// path off the hot loop. stream_engine::snapshot() clones every shard and
-/// folds the clones *on the caller's thread* — an O(k·S) merge per query
-/// that steals cycles from the ingest path the engine exists to protect.
-/// The snapshot_service performs that fold once per publish interval on its
-/// own background thread and publishes the result into one of two
-/// alternating buffers; readers acquire() the current buffer in a handful
-/// of atomic operations, so point queries and heavy-hitter reports cost a
-/// pointer chase instead of a merge, and their staleness is bounded by the
-/// publish interval.
+/// The async snapshot publisher: moves the engine's read copies off the
+/// query path. An unpublished engine read (stream_engine::view()) copies
+/// every shard on the caller's thread. The snapshot_service refreshes a
+/// view once per publish interval on its own background thread — for the
+/// engine a partitioned_view whose pooled per-shard copies are re-copied
+/// only when their shard changed, with no merge — and publishes it into one
+/// of two alternating buffers; readers acquire() the current buffer in a
+/// handful of atomic operations, so point queries and heavy-hitter reports
+/// cost a pointer chase, and their staleness is bounded by the publish
+/// interval.
 ///
 /// Publication protocol (double-buffered, refcounted):
 ///
-///           fold()                 publish              acquire()
+///         refresh()                publish              acquire()
 ///   shards ───────► back buffer ──────────► published ───────────► readers
 ///                   (epoch e+1)    atomic     buffer               (refcount)
 ///                                  pointer    (epoch e)
 ///                                  swap
 ///
-///  * Two buffers alternate in steady state: the publisher folds into the
+///  * Two buffers alternate in steady state: the publisher refreshes the
 ///    spare buffer, stamps it with a monotonically increasing epoch and a
 ///    publish timestamp, then swaps the published pointer. A buffer is
 ///    reused only once no reader still holds it (its refcount is zero);
@@ -35,20 +35,18 @@
 ///    per interval), so readers are wait-free in steady state and lock-free
 ///    under a concurrent publish. Reads of the sketch happen only after the
 ///    validating load, which synchronizes with the publishing store, so a
-///    view is always a complete, consistent fold — never torn.
+///    view is always complete and consistent — never torn.
 ///  * A published_snapshot is a move-only RAII view: it pins its buffer
-///    (refcount) and the buffer storage (shared_ptr), exposes the folded
-///    sketch plus the epoch / publish-time / policy-clock metadata, and
+///    (refcount) and the buffer storage (shared_ptr), exposes the published
+///    view plus the epoch / publish-time / policy-clock metadata, and
 ///    releases the pin on destruction. Holding a view indefinitely never
 ///    corrupts anything — it only keeps one pool buffer out of rotation.
 ///
-/// Lifetime-policy coordination: the fold callback runs the engine's
-/// policy-aware merge, so fading views are aligned on the latest logical
-/// clock and windowed views merge epoch-wise. stream_engine::advance_epoch
-/// republishes synchronously when the service is attached, so a cached view
-/// never straddles a tick for longer than it takes advance_epoch to return;
+/// Lifetime-policy coordination: the engine never copies a shard while
+/// advance_epoch() is ticking, so every published view holds its shards at
+/// one logical clock; advance_epoch() then republishes synchronously, and
 /// stream_engine::flush() republishes too, giving flush-then-read the same
-/// "everything pushed is visible" meaning it has with fold-on-demand reads.
+/// "everything pushed is visible" meaning it has with unpublished reads.
 
 #include <atomic>
 #include <chrono>
@@ -115,8 +113,8 @@ struct snapshot_buffers {
     std::vector<std::unique_ptr<snapshot_buffer<Sketch>>> pool;
 };
 
-/// Lifetime clock of a folded sketch: now() for windowed cores,
-/// policy().now() for fading ones, 0 for plain.
+/// Lifetime clock of a published value: now() for windowed cores and
+/// partitioned views, policy().now() for fading cores, 0 for plain.
 template <typename Sketch>
 std::uint64_t snapshot_clock(const Sketch& s) {
     if constexpr (requires { s.now(); }) {
@@ -151,7 +149,7 @@ public:
     published_snapshot& operator=(const published_snapshot&) = delete;
     ~published_snapshot() { release(); }
 
-    /// The folded sketch this view pins. Immutable while the view is alive.
+    /// The published value this view pins. Immutable while the view is alive.
     const Sketch& sketch() const noexcept { return buf_->sketch; }
     const Sketch& operator*() const noexcept { return buf_->sketch; }
     const Sketch* operator->() const noexcept { return &buf_->sketch; }
@@ -159,8 +157,8 @@ public:
     /// Publish sequence number: strictly increasing across publishes, >= 1.
     std::uint64_t epoch() const noexcept { return buf_->epoch; }
 
-    /// The sketch's lifetime-policy clock when this view was folded (decay
-    /// steps for fading, window epoch for windowed, 0 for plain).
+    /// The lifetime-policy clock of the published value (decay steps for
+    /// fading, window epoch for windowed, 0 for plain).
     std::uint64_t policy_clock() const noexcept { return buf_->policy_clock; }
 
     std::chrono::steady_clock::time_point publish_time() const noexcept {
@@ -168,7 +166,7 @@ public:
     }
 
     /// How stale this view is right now. Bounded by the publish interval
-    /// plus one fold while the service is running.
+    /// plus one refresh while the service is running.
     std::chrono::steady_clock::duration age() const {
         return std::chrono::steady_clock::now() - buf_->publish_time;
     }
@@ -193,8 +191,8 @@ private:
     detail::snapshot_buffer<Sketch>* buf_ = nullptr;
 };
 
-/// The background publisher. Templated on the folded sketch type and fed by
-/// a fold callback (for stream_engine: [&engine] { return engine.snapshot(); }),
+/// The background publisher. Templated on the published type and fed by a
+/// fold callback (for stream_engine: [&engine] { return engine.view(); }),
 /// so the same service publishes plain, fading and windowed views — and
 /// tests can drive it from any snapshot source.
 template <typename Sketch>
@@ -210,14 +208,14 @@ public:
     ///                  publisher thread and inside publish_now callers).
     /// \param interval  target publish period; staleness of any acquired
     ///                  view is bounded by interval + one fold duration.
-    /// \param fold_into optional allocation-free form: folds into an
-    ///                  existing sketch by copy-assignment, letting the
-    ///                  publisher reuse its pooled buffers' backing arrays
-    ///                  instead of building a fresh sketch per publish
-    ///                  (stream_engine::snapshot_into). Must produce the
-    ///                  same result as \p fold; used whenever a recyclable
-    ///                  buffer exists, with \p fold covering first
-    ///                  publishes and pool growth.
+    /// \param fold_into optional allocation-free form: refreshes an
+    ///                  existing value in place, letting the publisher
+    ///                  reuse its pooled buffers' storage instead of
+    ///                  building a fresh value per publish (the engine
+    ///                  re-copies dirty shards into a pooled view). Must
+    ///                  produce the same result as \p fold; used whenever
+    ///                  a recyclable buffer exists, with \p fold covering
+    ///                  first publishes and pool growth.
     snapshot_service(fold_fn fold, std::chrono::microseconds interval,
                      fold_into_fn fold_into = nullptr)
         : fold_(std::move(fold)), fold_into_(std::move(fold_into)), interval_(interval) {

@@ -9,64 +9,52 @@
 ///
 ///   producer 0 ──┐ staging ┌─ ring[0][s] ─┐
 ///   producer 1 ──┤ buffers ├─ ring[1][s] ─┼─► worker s ─► sketch s ──┐
-///      ...       │  (key-  │     ...      │   (batched drain)        ├─► snapshot()
-///   producer P ──┘ routed) └─ ring[P][s] ─┘                          │   = clone + merge
+///      ...       │  (key-  │     ...      │   (batched drain)        ├─► view(): copies
+///   producer P ──┘ routed) └─ ring[P][s] ─┘                          │   snapshot(): fold
 ///                                             ... one per shard ...──┘     (Algorithm 5)
 ///
-///  * Keys are routed to shards by an independent hash, so each shard's
-///    sketch summarizes a fixed sub-space of keys and Theorem 4 applies per
-///    shard; the merged snapshot obeys the merged-error bound of Theorem 5.
+///  * Keys are routed to shards by an independent hash (shard_router), so
+///    each shard's sketch summarizes a fixed sub-space of keys and
+///    Theorem 4 applies per shard.
 ///  * Producer → shard hand-off uses bounded SPSC rings (spsc_ring.h): one
 ///    ring per (producer, shard) pair keeps every ring single-producer /
 ///    single-consumer and therefore wait-free. A full ring pushes back on
 ///    its producer (bounded memory); producers stage small per-shard runs
 ///    so ring synchronization is amortized over whole batches.
 ///  * Each shard worker drains its rings in batches and applies each batch
-///    with one span update() under the shard lock. Queries never traverse live
-///    sketch state: snapshot() clones each shard's O(k) summary under a
-///    brief lock and folds the clones with the in-place O(k) merge —
-///    readers never block writers for more than one O(k) copy.
+///    with one span update() under the shard lock. Readers never traverse
+///    live sketch state: they copy it under that lock, O(k) per shard.
 ///
-/// Sizing guidance (see README "Engine" section): shard count S should not
-/// exceed the physical core budget for ingestion; each shard's sketch keeps
-/// its own k counters, so the merged snapshot carries the union (up to k
-/// live counters after folding) and the snapshot error bound grows with the
-/// *sum* of shard offsets — prefer fewer, larger shards when query accuracy
-/// at small k matters, more shards when raw ingest rate matters.
+/// Reads: view() — and the snapshot service's published view — is a
+/// partitioned_view, one copy per shard and no merge: a point query asks
+/// the key's shard, and its bounds carry that shard's offset only.
+/// snapshot() is the standalone sketch save(), merges and envelopes need: a
+/// Theorem 5 fold of the shard copies, whose error bound is the *sum* of
+/// the shard offsets. See README "Engine" for sizing S against k.
 ///
-/// Lifetime policies: the engine is templated on the per-shard sketch type,
-/// so the same rings/workers/snapshot path serves plain, time-fading and
-/// sliding-window shards (core/lifetime_policy.h):
+/// Lifetime policies: the engine is templated on the per-shard sketch type
+/// (plain, fading_frequent_items, windowed_frequent_items — see
+/// core/lifetime_policy.h); the ingestion API is identical for each.
+/// advance_epoch() ticks every shard's clock while no view is being copied,
+/// so a view's shards always share one clock; snapshot() folds with the
+/// policy-aware merge.
 ///
-///   stream_engine<>                                           // plain
-///   stream_engine<std::uint64_t, double,
-///                 fading_frequent_items<std::uint64_t, double>>
-///   stream_engine<std::uint64_t, std::uint64_t,
-///                 windowed_frequent_items<>>
+/// Text / generic keys: with a spelling-keeping sketch
+/// (core/fingerprint_frequent_items.h) producers also accept keyed pushes —
+/// push("alice", 3.0). The producer fingerprints the key, the fixed-size
+/// (fingerprint, weight) record rides the ring hot path, and the spelling
+/// travels at most once per first sight (a per-producer dedupe filter that
+/// rolls one slot clear every few pushes, so swept spellings are re-sent)
+/// through the shard's bounded spelling_channel. Each shard owns the
+/// dictionary slice for its fingerprints: a view answers with each shard's
+/// spellings, snapshot() unions the slices, and flush() covers the spelling
+/// lane. Identification is best-effort; the counts keep the paper's exact
+/// NFP/NFN guarantees in fingerprint space.
 ///
-/// advance_epoch() ticks every shard's lifetime clock (decay step / window
-/// rotation; no-op for plain), and snapshot() folds shard clones with the
-/// policy-aware merge — fading clones align on the latest logical clock,
-/// windowed clones merge epoch-wise, dropping expired epochs exactly. The
-/// producer-facing ingestion API is identical for every policy.
-///
-/// Text / generic keys: instantiate the engine with a spelling-keeping
-/// sketch (core/fingerprint_frequent_items.h, e.g.
-/// string_frequent_items<W, L>) and producers additionally accept keyed
-/// pushes — push("alice", 3.0). The key is fingerprinted in the producer's
-/// thread, the fixed-size (fingerprint, weight) record rides the ordinary
-/// SPSC ring hot path, and the spelling travels at most once per
-/// first-sight (deduplicated by a per-producer direct-mapped filter)
-/// through the shard's bounded spelling_channel. Each shard thus owns the
-/// dictionary slice for exactly the fingerprints routed to it; snapshot()
-/// unions the slices, so snapshot().top_items(m) reports full spellings.
-/// flush() barriers cover the spelling lane too. Identification is
-/// best-effort by design — a spelling swept while its fingerprint was
-/// untracked is re-sent when the producer's filter evicts, and the filter
-/// rolls one slot clear every few keyed pushes so a still-occurring key is
-/// re-sent within one full filter sweep even without slot collisions —
-/// while the counts keep the paper's exact NFP/NFN guarantees in
-/// fingerprint space.
+/// Failures surface: a worker whose drain() throws records the exception
+/// and stops; flush() and snapshot() rethrow it. Pushes published after
+/// stop() — or to a failed shard — are dropped and counted
+/// (engine_stats::updates_dropped, freq_engine_dropped_total).
 
 #include <atomic>
 #include <chrono>
@@ -87,6 +75,7 @@
 #include "core/counter_maintenance.h"
 #include "core/frequent_items_sketch.h"
 #include "core/sketch_config.h"
+#include "engine/partitioned_view.h"
 #include "engine/shard.h"
 #include "engine/snapshot_service.h"
 #include "engine/spsc_ring.h"
@@ -157,15 +146,6 @@ struct engine_config {
     /// platforms silently ignore it. freq_mem_hugepage_regions_total counts
     /// the regions actually advised.
     bool hugepages = false;
-
-    /// Incremental snapshot folds: snapshot() keeps a per-shard clone cache
-    /// keyed by engine_shard::generation() and re-clones/re-merges only the
-    /// shards that mutated since the previous fold — O(k·dirty) per publish
-    /// instead of O(k·S), and a fully idle publish is one O(k) copy. Costs
-    /// ~(S+2) extra sketch copies of resident memory; set false to fold
-    /// every shard from scratch on every snapshot (the pre-cache behavior,
-    /// also what bench_snapshot uses as its baseline).
-    bool incremental_snapshots = true;
 };
 
 /// Aggregate engine statistics (monotonic; racy-but-consistent reads).
@@ -177,10 +157,9 @@ struct engine_stats {
     std::uint64_t spellings_enqueued = 0;  ///< accepted into shard spelling channels
     std::uint64_t spellings_applied = 0;   ///< reached a shard dictionary
     std::uint64_t spelling_rejects = 0;    ///< deferred by full channels (retried later)
-    std::uint64_t snapshot_folds = 0;      ///< snapshot() calls (any path)
-    std::uint64_t snapshot_shards_refolded = 0;  ///< shard merges done by those folds
-    std::uint64_t snapshot_fold_reuses = 0;      ///< folds served as a copy of the
-                                                 ///< previous result (no shard dirty)
+    std::uint64_t updates_dropped = 0;     ///< published after stop() or to a failed shard
+    std::uint64_t snapshot_folds = 0;      ///< snapshot() calls
+    std::uint64_t snapshot_shards_refolded = 0;  ///< shards merged by folds + copied by views
 };
 
 template <typename K = std::uint64_t, typename W = std::uint64_t,
@@ -189,6 +168,7 @@ class stream_engine {
 public:
     using update_type = update<K, W>;
     using sketch_type = Sketch;
+    using view_type = partitioned_view<Sketch>;
 
     /// A single-threaded ingestion handle. Each producer owns one SPSC ring
     /// per shard plus per-shard staging buffers; distinct producers may run
@@ -318,16 +298,20 @@ public:
         }
 
         /// Pushes shard \p s's staged run into its ring, yielding while full.
-        /// If the engine has been stopped (its workers are gone, so a full
-        /// ring would never drain) the remaining staged updates are dropped
-        /// rather than livelocking — pushing after stop() is a contract
-        /// violation, but the destructor-flush must stay safe against it.
+        /// If the engine has been stopped, or the shard's worker failed (a
+        /// full ring would never drain), the remaining staged updates are
+        /// dropped and counted rather than livelocking — pushing after
+        /// stop() is a contract violation, but the destructor-flush must
+        /// stay safe against it.
         void publish(std::uint32_t s) {
-            auto& ring = engine_->shards_[s]->ring(slot_);
+            auto& shard = *engine_->shards_[s];
+            auto& ring = shard.ring(slot_);
             std::span<const update_type> pending(stages_[s]);
             const std::size_t staged = pending.size();
             while (!pending.empty()) {
-                if (engine_->stopping_.load(std::memory_order_acquire)) {
+                if (engine_->stopping_.load(std::memory_order_acquire) || shard.failed()) {
+                    engine_->dropped_.fetch_add(pending.size(), std::memory_order_relaxed);
+                    obs::pipeline().engine_dropped.add(pending.size());
                     break;
                 }
                 const std::size_t n = ring.try_push(pending);
@@ -378,7 +362,8 @@ public:
         FREQ_REQUIRE(cfg.num_shards <= 4096, "engine shard count limited to 4096");
         FREQ_REQUIRE(cfg.num_producers >= 1, "engine needs at least one producer slot");
         FREQ_REQUIRE(cfg.num_producers <= 4096, "engine producer count limited to 4096");
-        route_salt_ = murmur_mix64(cfg.sketch.seed ^ 0x5368'6172'6445'6e67ULL);
+        router_ = shard_router(cfg.num_shards,
+                               murmur_mix64(cfg.sketch.seed ^ 0x5368'6172'6445'6e67ULL));
         // Each worker pins itself (per cfg.numa) and then constructs its own
         // shard, so first-touch places the shard's memory — tables, rings,
         // spelling arena — on the worker's node. The constructor returns
@@ -450,8 +435,7 @@ public:
     /// shard's table hash (different mixer family and salt), so shard
     /// membership does not correlate with slot placement.
     std::uint32_t shard_of(K id) const noexcept {
-        return static_cast<std::uint32_t>(
-            mix64(static_cast<std::uint64_t>(id) ^ route_salt_) % cfg_.num_shards);
+        return router_(static_cast<std::uint64_t>(id));
     }
 
     /// Hands out a producer slot. At most num_producers producers may be
@@ -476,10 +460,11 @@ public:
 
     /// Barrier: returns once every update already published to the rings
     /// (i.e. after the producers' flush()) has been applied to a shard
-    /// sketch. Callers that need stream-complete snapshots flush producers,
-    /// then the engine, then snapshot. With the snapshot service attached,
+    /// sketch. Callers that need stream-complete reads flush producers,
+    /// then the engine, then read. With the snapshot service attached,
     /// flush() also republishes, so cached reads keep the same "everything
-    /// flushed is visible" meaning as fold-on-demand reads.
+    /// flushed is visible" meaning as unpublished reads. Rethrows the
+    /// exception of a failed shard worker instead of waiting on it.
     void flush() {
         FREQ_REQUIRE(!stopping_.load(std::memory_order_acquire),
                      "flush() on a stopped engine");
@@ -488,6 +473,7 @@ public:
             const std::uint64_t spelling_target = shard->spellings_enqueued();
             while (shard->applied() < target ||
                    shard->spellings_applied() < spelling_target) {
+                shard->rethrow_failure();  // a failed shard never catches up
                 std::this_thread::yield();
             }
         }
@@ -499,161 +485,86 @@ public:
     /// Advances every shard's lifetime clock by \p epochs ticks (decay step
     /// for exponential_fading, epoch rotation for epoch_window, no-op for
     /// plain). Each shard ticks under its sketch mutex, so a tick never
-    /// splits a drained batch; shards tick one after another, and the
-    /// policy-aware merge in snapshot() re-aligns clones should a snapshot
-    /// land between two shard ticks. Callers that need an exact epoch
-    /// boundary flush producers and the engine first (same discipline as a
-    /// stream-complete snapshot).
+    /// splits a drained batch, and the tick loop excludes view copies, so
+    /// no view mixes pre-tick and post-tick shards. Callers that need an
+    /// exact epoch boundary flush producers and the engine first (same
+    /// discipline as a stream-complete read).
     void advance_epoch(std::uint64_t epochs = 1) {
-        for (const auto& shard : shards_) {
-            shard->tick(epochs);
+        {
+            std::lock_guard<std::mutex> lock(clock_mutex_);
+            for (const auto& shard : shards_) {
+                shard->tick(epochs);
+            }
         }
-        // Clock-consistency with cached reads: republish synchronously so a
-        // cached view reflects the new logical clock as soon as the tick
-        // returns, instead of serving the pre-tick ageing for up to one
-        // publish interval.
+        // Republish synchronously (outside the clock lock: the publish
+        // takes it) so a cached view reflects the new logical clock as soon
+        // as the tick returns.
         if (snapshots_ != nullptr) {
             snapshots_->publish_now();
         }
     }
 
-    /// A consistent point-in-time summary of everything applied so far:
-    /// clones each shard's sketch (brief per-shard lock, O(k) copy) and
-    /// folds the clones with the in-place Algorithm 5 merge. Never blocks
-    /// ingestion beyond the per-shard copy. Valid summary of the union of
-    /// shard sub-streams by Theorem 5.
-    ///
-    /// With cfg.incremental_snapshots (the default) the fold is incremental:
-    /// each shard's generation() is read *before* its clone, and only shards
-    /// whose generation advanced since the previous fold are re-cloned and
-    /// re-merged. The shards that stayed clean are served from a cached
-    /// "clean fold" (one merged sketch over the stable cold set, rebuilt
-    /// only when cold-set membership changes), so a steady-state publish
-    /// with D dirty shards costs one O(k) copy plus D merges — O(k·dirty),
-    /// not O(k·S) — and a publish with nothing dirty is one O(k) copy of
-    /// the previous result. Concurrent snapshot() calls serialize on the
-    /// cache mutex; the per-shard clone still happens under the shard's own
-    /// sketch mutex (cache mutex is always acquired first, and no path
-    /// takes them in the other order).
-    sketch_type snapshot() const {
-        sketch_type out(fold_base_cfg());
-        snapshot_into(out);
-        return out;
+    /// A partitioned view of everything applied so far: one O(k) copy per
+    /// shard, each under that shard's lock, and no merge. Every shard is
+    /// copied at the same lifetime clock.
+    view_type view() const {
+        std::vector<sketch_type> parts;
+        std::vector<std::uint64_t> gens;
+        parts.reserve(shards_.size());
+        gens.reserve(shards_.size());
+        std::lock_guard<std::mutex> lock(clock_mutex_);
+        for (const auto& shard : shards_) {
+            gens.push_back(shard->generation());  // before the copy: see copy_dirty
+            parts.push_back(shard->clone_sketch());
+        }
+        count_refolds(shards_.size());
+        return view_type(std::move(parts), router_, std::move(gens));
     }
 
-    /// Folds the current snapshot state *into* \p out by copy-assignment —
-    /// the allocation-free form of snapshot(). A caller that reuses one
-    /// target sketch across publishes (the snapshot service does) performs
-    /// zero heap allocations per steady-state incremental fold for
-    /// fixed-layout sketches (u64 keys): the cached clean fold, the
-    /// per-shard clones and the previous-fold cache all copy-assign into
-    /// existing vector capacity, and the dirty-shard merges are in-place
-    /// O(k). Spelling-keeping sketches still allocate hash-map nodes for
-    /// dictionary entries new since the last fold (their byte storage
-    /// reuses the arena). \p out must be constructed from this engine's
-    /// config or be a previous snapshot of it.
-    void snapshot_into(sketch_type& out) const {
-        if (!cfg_.incremental_snapshots) {
-            snapshot_folds_.fetch_add(1, std::memory_order_relaxed);
-            snapshot_refolds_.fetch_add(shards_.size(), std::memory_order_relaxed);
-            obs::pipeline().snapshot_shards_refolded.add(shards_.size());
-            shards_[0]->clone_sketch_into(out);
-            for (std::size_t s = 1; s < shards_.size(); ++s) {
-                const sketch_type part = shards_[s]->clone_sketch();
-                out.merge(part);
-            }
-            return;
+    /// A consistent standalone summary of everything applied so far: an
+    /// empty sketch of the engine's config merged (Algorithm 5) with a copy
+    /// of each shard in shard order — a valid summary of the union by
+    /// Theorem 5, whose bytes depend only on the shards' states. This is
+    /// the form save(), merges and envelopes need; reads use view().
+    /// Rethrows the exception of a failed shard worker.
+    sketch_type snapshot() const {
+        for (const auto& shard : shards_) {
+            shard->rethrow_failure();
         }
-        const std::size_t S = shards_.size();
-        std::lock_guard<std::mutex> lock(fold_mutex_);
         snapshot_folds_.fetch_add(1, std::memory_order_relaxed);
-        fold_cache& c = cache_;
-        // Generations first, clones after: a mutation racing this read can
-        // only make a future fold conservatively re-merge a shard whose
-        // clone already contains it — never the reverse.
-        std::vector<std::uint64_t>& gens_now = c.gens_scratch;
-        gens_now.resize(S);
-        for (std::size_t s = 0; s < S; ++s) {
-            gens_now[s] = shards_[s]->generation();
+        count_refolds(shards_.size());
+        sketch_type out(cfg_.sketch);
+        for (const auto& shard : shards_) {
+            out.merge(shard->clone_sketch());
         }
-        if (c.last_fold.has_value() && gens_now == c.last_gens) {
-            snapshot_reuses_.fetch_add(1, std::memory_order_relaxed);
-            out = *c.last_fold;
-            return;
-        }
-        if (c.clones.empty()) {
-            c.clones.reserve(S);
-            for (std::size_t s = 0; s < S; ++s) {
-                c.clones.push_back(shards_[s]->clone_sketch());
-            }
-            c.gens = gens_now;
-            c.dirty.assign(S, 1);
-        } else {
-            c.dirty.assign(S, 0);
-            for (std::size_t s = 0; s < S; ++s) {
-                if (gens_now[s] != c.gens[s]) {
-                    c.dirty[s] = 1;
-                    shards_[s]->clone_sketch_into(c.clones[s]);
-                    c.gens[s] = gens_now[s];
-                }
-            }
-        }
-        std::uint64_t refolded = 0;
-        // The clean fold covers exactly the shards that did NOT move this
-        // round; rebuild it only when that membership changes (a shard going
-        // hot→cold or cold→hot), from the cached clones — no shard locks.
-        std::vector<char>& clean = c.clean_scratch;
-        clean.resize(S);
-        for (std::size_t s = 0; s < S; ++s) {
-            clean[s] = static_cast<char>(!c.dirty[s]);
-        }
-        if (!c.clean_fold.has_value() || clean != c.in_clean) {
-            c.clean_fold.emplace(fold_base_cfg());
-            for (std::size_t s = 0; s < S; ++s) {
-                if (clean[s]) {
-                    c.clean_fold->merge(c.clones[s]);
-                    ++refolded;
-                }
-            }
-            c.in_clean = clean;
-        }
-        out = *c.clean_fold;
-        for (std::size_t s = 0; s < S; ++s) {
-            if (c.dirty[s]) {
-                out.merge(c.clones[s]);
-                ++refolded;
-            }
-        }
-        snapshot_refolds_.fetch_add(refolded, std::memory_order_relaxed);
-        obs::pipeline().snapshot_shards_refolded.add(refolded);
-        c.last_fold = out;
-        c.last_gens = gens_now;
+        return out;
     }
 
     // --- async snapshot service ---------------------------------------------
 
-    /// Opt-in: starts the background snapshot publisher (snapshot_service.h)
-    /// folding a fresh merged snapshot every \p interval and publishing it
-    /// into the double-buffered slot acquire_snapshot() reads from. Queries
-    /// served from the cached view cost a pointer acquire instead of an
-    /// O(k·S) fold, at a staleness bounded by \p interval (flush() and
-    /// advance_epoch() republish synchronously). Idempotent re-enable
-    /// replaces the interval by restarting the service. Control-plane calls
-    /// (enable/disable/stop) are owner-thread operations: they must not
-    /// race acquire_snapshot()/flush()/advance_epoch() on other threads.
+    /// Opt-in: starts the background publisher (snapshot_service.h), which
+    /// refreshes a pooled partitioned view every \p interval — re-copying
+    /// only the shards whose generation moved, allocation-free in steady
+    /// state — and publishes it into the double-buffered slot
+    /// acquire_snapshot() reads from. Queries served from the cached view
+    /// cost a pointer acquire instead of S copies, at a staleness bounded
+    /// by \p interval (flush() and advance_epoch() republish
+    /// synchronously). Idempotent re-enable replaces the interval by
+    /// restarting the service. Control-plane calls (enable/disable/stop)
+    /// are owner-thread operations: they must not race
+    /// acquire_snapshot()/flush()/advance_epoch() on other threads.
     void enable_snapshot_service(std::chrono::microseconds interval) {
         FREQ_REQUIRE(!stopping_.load(std::memory_order_acquire),
                      "enable_snapshot_service() on a stopped engine");
         retire_snapshot_service();  // stop any previous publisher first
-        // The fold-into form lets the publisher reuse its pooled buffers'
-        // sketches: a steady-state publish is allocation-free end to end
-        // (see snapshot_into()).
-        snapshots_ = std::make_unique<snapshot_service<sketch_type>>(
-            [this] { return snapshot(); }, interval,
-            [this](sketch_type& out) { snapshot_into(out); });
+        snapshots_ = std::make_unique<snapshot_service<view_type>>(
+            [this] { return view(); }, interval, [this](view_type& v) {
+                std::lock_guard<std::mutex> lock(clock_mutex_);
+                count_refolds(v.copy_dirty(shards_));
+            });
     }
 
-    /// Stops the publisher and returns reads to fold-on-demand. Outstanding
+    /// Stops the publisher and returns reads to unpublished views. Outstanding
     /// views stay valid (they pin their buffer storage).
     void disable_snapshot_service() { retire_snapshot_service(); }
 
@@ -661,7 +572,7 @@ public:
 
     /// Pins and returns the currently published cached view (wait-free in
     /// steady state; see published_snapshot). Requires the service enabled.
-    published_snapshot<sketch_type> acquire_snapshot() const {
+    published_snapshot<view_type> acquire_snapshot() const {
         FREQ_REQUIRE(snapshots_ != nullptr,
                      "acquire_snapshot() requires enable_snapshot_service()");
         return snapshots_->acquire();
@@ -702,8 +613,8 @@ public:
         if (!stopping_.compare_exchange_strong(expected, true, std::memory_order_acq_rel)) {
             return;
         }
-        // The publisher folds via snapshot(); stop it before the workers so
-        // no fold runs against a half-stopped engine.
+        // Stop the publisher before the workers so no publish copies a
+        // half-stopped engine.
         retire_snapshot_service();
         for (auto& w : workers_) {
             if (w.joinable()) {
@@ -723,34 +634,18 @@ public:
         }
         st.ring_full_stalls = stalls_.load(std::memory_order_relaxed);
         st.spelling_rejects = spelling_rejects_.load(std::memory_order_relaxed);
+        st.updates_dropped = dropped_.load(std::memory_order_relaxed);
         st.snapshot_folds = snapshot_folds_.load(std::memory_order_relaxed);
         st.snapshot_shards_refolded = snapshot_refolds_.load(std::memory_order_relaxed);
-        st.snapshot_fold_reuses = snapshot_reuses_.load(std::memory_order_relaxed);
         return st;
     }
 
 private:
-    /// State of the incremental fold (all accessed under fold_mutex_).
-    struct fold_cache {
-        std::vector<std::uint64_t> gens;   ///< generation captured before each clone
-        std::vector<sketch_type> clones;   ///< latest clone per shard
-        std::vector<char> dirty;           ///< scratch: which shards moved this fold
-        std::vector<char> in_clean;        ///< membership of clean_fold
-        std::optional<sketch_type> clean_fold;  ///< fold over the stable cold set
-        std::optional<sketch_type> last_fold;   ///< previous snapshot() result
-        std::vector<std::uint64_t> last_gens;   ///< generations last_fold covers
-        std::vector<std::uint64_t> gens_scratch;  ///< per-fold generation reads
-        std::vector<char> clean_scratch;          ///< per-fold clean membership
-    };
-
-    /// Config of the empty sketch incremental folds merge into. Must match
-    /// shard 0's config bit-for-bit (for seed-perturbing backends the
-    /// engine seeds shard s with
-    /// cfg.sketch.seed + s): the non-incremental path publishes a clone of
-    /// shard 0, and snapshot consumers — the serde envelope descriptor in
-    /// particular — must see the same config regardless of which fold path
-    /// produced the sketch.
-    sketch_config fold_base_cfg() const { return cfg_.sketch; }
+    /// Shards copied by views or merged by folds.
+    void count_refolds(std::size_t n) const {
+        snapshot_refolds_.fetch_add(n, std::memory_order_relaxed);
+        obs::pipeline().snapshot_shards_refolded.add(n);
+    }
 
     /// Runs on worker thread s, before its drain loop: applies the NUMA
     /// policy (pin first, construct after), so every allocation the shard
@@ -790,7 +685,15 @@ private:
         engine_shard<K, W, Sketch>& shard = *shards_[s];
         std::uint32_t idle_streak = 0;
         for (;;) {
-            const std::size_t n = shard.drain();
+            std::size_t n = 0;
+            try {
+                n = shard.drain();
+            } catch (...) {
+                // The shard's sketch is now suspect: stop draining it, and
+                // let flush() and snapshot() report why.
+                shard.fail(std::current_exception());
+                return;
+            }
             if (n > 0) {
                 idle_streak = 0;
                 continue;
@@ -830,7 +733,7 @@ private:
     }
 
     engine_config cfg_;
-    std::uint64_t route_salt_ = 0;
+    shard_router router_;
     std::vector<std::unique_ptr<engine_shard<K, W, Sketch>>> shards_;
     std::vector<std::thread> workers_;
     std::mutex slot_mutex_;                  ///< guards the slot allocator below
@@ -839,12 +742,13 @@ private:
     std::atomic<bool> stopping_{false};
     std::atomic<std::uint64_t> stalls_{0};
     std::atomic<std::uint64_t> spelling_rejects_{0};
-    mutable std::mutex fold_mutex_;  ///< guards cache_ (snapshot() is const)
-    mutable fold_cache cache_;
+    std::atomic<std::uint64_t> dropped_{0};
+    /// Excludes advance_epoch()'s tick loop from view copies, so every view
+    /// holds its shards at one lifetime clock.
+    mutable std::mutex clock_mutex_;
     mutable std::atomic<std::uint64_t> snapshot_folds_{0};
     mutable std::atomic<std::uint64_t> snapshot_refolds_{0};
-    mutable std::atomic<std::uint64_t> snapshot_reuses_{0};
-    std::unique_ptr<snapshot_service<sketch_type>> snapshots_;  ///< null = fold-on-demand
+    std::unique_ptr<snapshot_service<view_type>> snapshots_;  ///< null = unpublished views
     /// Accumulated totals of retired snapshot services (see snapshot_stats()).
     snapshot_service_stats snapshot_stats_base_{};
 };

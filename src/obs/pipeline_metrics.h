@@ -43,6 +43,7 @@ struct pipeline_metrics {
     counter& engine_batches_applied;
     counter& engine_ring_full;
     counter& engine_publishes;
+    counter& engine_dropped;
     histogram& engine_ring_occupancy;
 
     // --- shard / sketch maintenance -----------------------------------------
@@ -107,6 +108,9 @@ private:
           engine_publishes(r.get_counter(
               "freq_engine_publishes_total",
               "Staged runs published into shard rings by producers")),
+          engine_dropped(r.get_counter(
+              "freq_engine_dropped_total",
+              "Staged updates dropped: published after stop() or to a failed shard")),
           engine_ring_occupancy(r.get_histogram(
               "freq_engine_ring_occupancy",
               "Ring fill level (elements) sampled at each producer publish")),
@@ -154,8 +158,8 @@ private:
               "Buffer-pool growth events caused by long-pinned views")),
           snapshot_shards_refolded(r.get_counter(
               "freq_snapshot_shards_refolded_total",
-              "Shards re-cloned and re-merged by incremental snapshot folds "
-              "(dirty generations since the previous fold)")),
+              "Shards copied by snapshot views (dirty generations only when "
+              "publishing) plus shards merged by snapshot() folds")),
           snapshot_publish_latency_ns(r.get_histogram(
               "freq_snapshot_publish_latency_ns",
               "Latency of one publish cycle (fold + swap), nanoseconds")),
@@ -209,6 +213,7 @@ struct pipeline_metrics {
     counter engine_batches_applied;
     counter engine_ring_full;
     counter engine_publishes;
+    counter engine_dropped;
     histogram engine_ring_occupancy;
     histogram shard_drain_batch_size;
     counter shard_ticks;

@@ -30,6 +30,7 @@
 /// 18 * ceil_pow2(4k/3) bytes — the paper's "24k bytes" figure when 4k/3
 /// lands on a power of two.
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <type_traits>
@@ -238,6 +239,35 @@ public:
         for (std::uint32_t i = 0; i < num_slots_; ++i) {
             if (states_[i] != 0) {
                 f(keys_[i], values_[i]);
+            }
+        }
+    }
+
+    /// Visits, in slot order, every live pair whose counter passes \p keep.
+    /// keep runs on the values array 8 slots at a time into a bit mask,
+    /// with no branch per slot, and states are read only for the slots it
+    /// selects: a set query then branches once per candidate instead of
+    /// once per slot. Empty slots hold stale values; their state discards
+    /// them.
+    template <typename Keep, typename F>
+    void for_each_if(Keep&& keep, F&& f) const {
+        const W* const values = values_.data();
+        std::uint32_t i = 0;
+        for (; i + 8 <= num_slots_; i += 8) {
+            unsigned mask = 0;
+            for (unsigned j = 0; j < 8; ++j) {
+                mask |= static_cast<unsigned>(keep(values[i + j])) << j;
+            }
+            for (; mask != 0; mask &= mask - 1) {
+                const std::uint32_t slot = i + static_cast<std::uint32_t>(std::countr_zero(mask));
+                if (states_[slot] != 0) {
+                    f(keys_[slot], values[slot]);
+                }
+            }
+        }
+        for (; i < num_slots_; ++i) {  // tables of fewer than 8 slots
+            if (keep(values[i]) && states_[i] != 0) {
+                f(keys_[i], values[i]);
             }
         }
     }

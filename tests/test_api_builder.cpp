@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -367,8 +368,17 @@ TEST(ApiSummarizer, ShardedSnapshotMatchesFlushedStream) {
     auto snap = s.snapshot();
     EXPECT_FALSE(snap.sharded());
     EXPECT_DOUBLE_EQ(snap.total_weight(), s.total_weight());
+    // The live summarizer answers from its shards, the snapshot from their
+    // merge: both bracket the truth, each within its own error bound.
+    exact_counter<std::uint64_t, std::uint64_t> exact;
+    exact.consume(stream);
     for (const auto& r : snap.top_items(5)) {
-        EXPECT_DOUBLE_EQ(r.estimate, s.estimate(r.id));
+        const double f = static_cast<double>(exact.frequency(r.id));
+        for (const summarizer* q : {&s, &snap}) {
+            EXPECT_LE(q->lower_bound(r.id), f);
+            EXPECT_GE(q->upper_bound(r.id), f);
+            EXPECT_LE(std::fabs(q->estimate(r.id) - f), q->maximum_error());
+        }
     }
 }
 

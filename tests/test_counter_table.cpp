@@ -10,6 +10,8 @@
 #include <vector>
 
 #include "common/simd.h"
+#include "core/basic_frequent_items.h"
+#include "core/lifetime_policy.h"
 #include "random/xoshiro.h"
 
 namespace freq {
@@ -545,6 +547,98 @@ TEST_P(CounterTableReference, FloatMatchesSinglePassSweep) {
 
 INSTANTIATE_TEST_SUITE_P(Capacities, CounterTableReference,
                          ::testing::Values(1, 2, 3, 64, 4096));
+
+// --- blocked set-query scan -----------------------------------------------------
+
+/// A sketch that also answers frequent_items() with the per-slot loop the
+/// blocked scan replaced: one branch on every slot's state, then the bound.
+template <typename W, typename L>
+struct scan_probe : basic_frequent_items<std::uint64_t, W, L> {
+    using base = basic_frequent_items<std::uint64_t, W, L>;
+    using typename base::row;
+    using base::base;
+
+    std::vector<row> reference_rows(error_type et, W threshold) const {
+        std::vector<row> out;
+        this->table_.for_each([&](std::uint64_t id, W c) {
+            const W lb = this->present(c);
+            const W ub = this->present(c + this->offset_);
+            if ((et == error_type::no_false_positives ? lb : ub) > threshold) {
+                out.push_back(row{id, ub, lb, ub});
+            }
+        });
+        std::sort(out.begin(), out.end(),
+                  [](const row& a, const row& b) { return a.estimate > b.estimate; });
+        return out;
+    }
+
+    /// Whether some empty slot still holds a counter value — the stale
+    /// input the blocked scan's bound sees and its state check discards.
+    bool has_stale_empty_slot() const {
+        for (std::uint32_t s = 0; s < this->table_.num_slots(); ++s) {
+            if (!this->table_.slot_occupied(s) && this->table_.slot_value(s) != W{0}) {
+                return true;
+            }
+        }
+        return false;
+    }
+};
+
+template <typename W, typename L>
+void scan_matches_reference(std::uint32_t k, std::uint64_t seed) {
+    sketch_config cfg{.max_counters = k, .seed = seed, .decay = 0.9};
+    scan_probe<W, L> sk(cfg);
+    xoshiro256ss rng(seed);
+    const std::uint64_t pool = 4 * static_cast<std::uint64_t>(k) + 3;
+    const std::uint64_t n = std::max<std::uint64_t>(3'000, 12 * static_cast<std::uint64_t>(k));
+    for (std::uint64_t i = 0; i < n; ++i) {
+        sk.update(rng.below(pool), static_cast<W>(rng.between(1, 40)));
+        if constexpr (L::decaying) {
+            if (i % 64 == 63) {
+                sk.tick();
+            }
+        }
+    }
+    ASSERT_GT(sk.num_decrements(), 0u);
+    ASSERT_TRUE(sk.has_stale_empty_slot()) << "no stale values to mask";
+    const double n_w = static_cast<double>(sk.total_weight());
+    for (const error_type et : {error_type::no_false_positives, error_type::no_false_negatives}) {
+        for (const double frac : {0.0, 0.001, 0.01, 0.1, 0.5}) {
+            const auto t = static_cast<W>(frac * n_w);
+            ASSERT_EQ(sk.frequent_items(et, t), sk.reference_rows(et, t))
+                << "k=" << k << " threshold=" << frac << "N";
+        }
+        ASSERT_EQ(sk.frequent_items(et), sk.reference_rows(et, sk.maximum_error()));
+    }
+}
+
+class BlockedScan : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(BlockedScan, U64PlainMatchesPerSlotLoop) {
+    scan_matches_reference<std::uint64_t, plain_lifetime>(GetParam(), 11);
+}
+TEST_P(BlockedScan, U32PlainMatchesPerSlotLoop) {
+    scan_matches_reference<std::uint32_t, plain_lifetime>(GetParam(), 12);
+}
+TEST_P(BlockedScan, I64PlainMatchesPerSlotLoop) {
+    scan_matches_reference<std::int64_t, plain_lifetime>(GetParam(), 13);
+}
+TEST_P(BlockedScan, DoublePlainMatchesPerSlotLoop) {
+    scan_matches_reference<double, plain_lifetime>(GetParam(), 14);
+}
+TEST_P(BlockedScan, FloatPlainMatchesPerSlotLoop) {
+    scan_matches_reference<float, plain_lifetime>(GetParam(), 15);
+}
+TEST_P(BlockedScan, DoubleFadingMatchesPerSlotLoop) {
+    scan_matches_reference<double, exponential_fading>(GetParam(), 16);
+}
+TEST_P(BlockedScan, FloatFadingMatchesPerSlotLoop) {
+    scan_matches_reference<float, exponential_fading>(GetParam(), 17);
+}
+
+// k = 1, 2 and 5 give 2-, 4- and 8-slot tables: all-tail, all-tail and one
+// exact block; 4096 runs full blocks of a production-sized table.
+INSTANTIATE_TEST_SUITE_P(Capacities, BlockedScan, ::testing::Values(1, 2, 5, 4096));
 
 }  // namespace
 }  // namespace freq

@@ -524,7 +524,7 @@ TEST(FacadeShardedText, CachedSnapshotViewAnswersWithSpellings) {
     // Point reads off the cached view re-fingerprint the query key.
     EXPECT_GT(s.estimate(top[0].item), 0.0);
     s.disable_snapshot_service();
-    EXPECT_DOUBLE_EQ(s.total_weight(), total);  // fold-on-demand agrees
+    EXPECT_DOUBLE_EQ(s.total_weight(), total);  // unpublished views agree
 }
 
 TEST(FacadeShardedText, DictionaryStaysBoundedUnderChurn) {

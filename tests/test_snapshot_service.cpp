@@ -358,7 +358,7 @@ TEST(EngineSnapshotService, DisableReturnsReadsToFoldOnDemand) {
     // Stats are monotonic for the engine's lifetime: the enable-time
     // publish survives the disable instead of resetting to zero.
     EXPECT_EQ(engine.snapshot_stats().publishes, 1u);
-    // fold-on-demand still works
+    // snapshot() folds on demand without the service
     auto p = engine.make_producer();
     p.push(3, 2);
     p.flush();
@@ -554,7 +554,7 @@ TEST(CachedViewQueries, EnableDisableRoundTripsAtRuntime) {
     s.disable_snapshot_service();
     EXPECT_FALSE(s.snapshot_service_enabled());
     EXPECT_EQ(s.snapshot_epoch(), 0u);
-    EXPECT_EQ(s.total_weight(), direct);  // fold-on-demand again
+    EXPECT_EQ(s.total_weight(), direct);  // unpublished views again
 }
 
 }  // namespace
