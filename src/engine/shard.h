@@ -27,6 +27,8 @@
 ///  * drain()                — the shard's single worker thread only.
 ///  * clone_sketch(), tick() — any thread; take the sketch mutex.
 ///  * fail()                 — the worker, once, when drain() throws.
+///  * park()                 — the worker, when its lanes run dry.
+///  * wake()                 — any thread, after making work visible.
 ///
 /// The sketch mutex is held only while a drained batch (or spelling run) is
 /// applied, while the sketch is being cloned for a snapshot, or while the
@@ -77,6 +79,20 @@ struct no_spelling_channel {
     std::uint64_t pushed() const noexcept { return 0; }
     std::uint64_t applied() const noexcept { return 0; }
 };
+
+/// The seq_cst fence park() and wake() pair on. g++ warns that TSan does
+/// not model fences (-Wtsan); nothing here relies on TSan seeing it, since
+/// every access the fence orders is atomic, so the warning is silenced.
+inline void park_fence() noexcept {
+#if defined(__SANITIZE_THREAD__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wtsan"
+#endif
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+#if defined(__SANITIZE_THREAD__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+}
 
 template <typename Sketch, bool = spelling_sketch<Sketch>>
 struct spelling_channel_of {
@@ -247,6 +263,43 @@ public:
         return applied() < enqueued() || spellings_applied() < spellings_enqueued();
     }
 
+    // --- idle parking ----------------------------------------------------------
+
+    /// Worker side: blocks until the next wake() unless work is pending or
+    /// \p stopping is set; returns whether it blocked. No wakeup is lost:
+    /// the worker raises parked_ and then re-checks its lanes, a waker makes
+    /// its work visible and then reads parked_, and a seq_cst fence on each
+    /// side orders the two, so at least one of them sees the other. A
+    /// wake() that lands between the re-check and the wait has already
+    /// moved wake_seq_, so the wait returns at once.
+    bool park(const std::atomic<bool>& stopping) {
+        const std::uint32_t seq = wake_seq_.load(std::memory_order_acquire);
+        parked_.store(true, std::memory_order_relaxed);
+        detail::park_fence();
+        const bool block = !has_pending() && !stopping.load(std::memory_order_relaxed);
+        if (block) {
+            parks_.fetch_add(1, std::memory_order_relaxed);
+            obs::pipeline().engine_worker_parks.add(1);
+            wake_seq_.wait(seq, std::memory_order_acquire);
+        }
+        parked_.store(false, std::memory_order_relaxed);
+        return block;
+    }
+
+    /// Releases a parked worker. Call after publishing into a ring, or
+    /// after setting the engine's stop flag. Costs a fence and one load
+    /// while the worker is awake; a futex wake only when it is parked.
+    void wake() noexcept {
+        detail::park_fence();
+        if (parked_.load(std::memory_order_relaxed)) {
+            wake_seq_.fetch_add(1, std::memory_order_release);
+            wake_seq_.notify_one();
+        }
+    }
+
+    /// Blocking parks so far (an idle worker parks once per idle spell).
+    std::uint64_t parks() const noexcept { return parks_.load(std::memory_order_relaxed); }
+
 private:
     /// Constructs the shard sketch, forwarding placement hints to backends
     /// that accept them (the paper-sketch family does); backends with a
@@ -298,6 +351,12 @@ private:
     std::atomic<std::uint64_t> ticks_{0};  ///< lifetime-clock component of generation()
     std::exception_ptr failure_;           ///< written once, before failed_
     std::atomic<bool> failed_{false};
+
+    // Read by every producer publish, written only when the worker parks:
+    // kept off the lines the drain loop writes per batch.
+    alignas(64) std::atomic<bool> parked_{false};
+    std::atomic<std::uint32_t> wake_seq_{0};  ///< bumped by wake(); park() waits on it
+    std::atomic<std::uint64_t> parks_{0};
 };
 
 }  // namespace freq

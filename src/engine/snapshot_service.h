@@ -47,11 +47,18 @@
 /// one logical clock; advance_epoch() then republishes synchronously, and
 /// stream_engine::flush() republishes too, giving flush-then-read the same
 /// "everything pushed is visible" meaning it has with unpublished reads.
+///
+/// Failures: a fold that throws on the publisher thread (bad_alloc while
+/// copying a shard, say) publishes nothing — the last good view stays
+/// published — and the exception is kept and rethrown by the next
+/// publish_now(), so stream_engine::flush(), advance_epoch() and
+/// publish_snapshot_now() report it. The periodic publisher keeps running.
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -315,10 +322,16 @@ public:
     /// for it and adopt its epoch instead of each folding again — N
     /// simultaneous publish_now() calls cost one or two folds, not N
     /// (stats().coalesced_publishes counts the riders).
+    ///
+    /// Rethrows, once, an exception the periodic publisher caught since the
+    /// last publish_now(); the call after that publishes afresh.
     std::uint64_t publish_now() {
         const std::uint64_t entered = folds_started_.load(std::memory_order_acquire);
         std::lock_guard<std::mutex> lock(publish_mutex_);
-        if (folds_started_.load(std::memory_order_relaxed) != entered) {
+        if (publisher_failure_ != nullptr) {
+            std::rethrow_exception(std::exchange(publisher_failure_, nullptr));
+        }
+        if (folds_landed_ > entered) {
             // A fold began after we entered and — since cycles complete
             // under the mutex we now hold — its publish already landed.
             // Everything visible before our entry was visible to that fold.
@@ -351,24 +364,31 @@ private:
                 return;
             }
             lock.unlock();
-            publish_cycle();
+            publish_cycle_guarded();
             lock.lock();
         }
     }
 
-    /// One fold-and-swap. Publisher-side mutual exclusion only (readers
-    /// never take this mutex).
-    std::uint64_t publish_cycle() {
+    /// One periodic fold-and-swap. A throwing fold swaps nothing, so the
+    /// last good view stays published; the first such exception is kept for
+    /// publish_now() instead of escaping the thread (std::terminate).
+    void publish_cycle_guarded() {
         std::lock_guard<std::mutex> lock(publish_mutex_);
-        return publish_cycle_locked();
+        try {
+            publish_cycle_locked();
+        } catch (...) {
+            if (publisher_failure_ == nullptr) {
+                publisher_failure_ = std::current_exception();
+            }
+        }
     }
 
     /// The body of a cycle; requires publish_mutex_ held.
     std::uint64_t publish_cycle_locked() {
         obs::scoped_timer timer(obs::pipeline().snapshot_publish_latency_ns);
         // Announce the fold before running it: publish_now() riders that
-        // entered earlier may adopt this cycle's result.
-        folds_started_.fetch_add(1, std::memory_order_acq_rel);
+        // entered earlier may adopt this cycle's result once it lands.
+        const std::uint64_t ticket = folds_started_.fetch_add(1, std::memory_order_acq_rel) + 1;
         detail::snapshot_buffer<Sketch>* front =
             published_.load(std::memory_order_seq_cst);
         // A spare buffer is safe to overwrite once its refcount reads zero
@@ -406,6 +426,7 @@ private:
         back->publish_time = std::chrono::steady_clock::now();
         published_.store(back, std::memory_order_seq_cst);
         published_epoch_.store(back->epoch, std::memory_order_release);
+        folds_landed_ = ticket;
         publishes_.fetch_add(1, std::memory_order_relaxed);
         last_publish_ns_.store(obs::now_ns(), std::memory_order_relaxed);
         obs::pipeline().snapshot_publishes.add(1);
@@ -419,7 +440,9 @@ private:
     std::atomic<detail::snapshot_buffer<Sketch>*> published_{nullptr};
     std::atomic<std::uint64_t> published_epoch_{0};
 
-    std::mutex publish_mutex_;  ///< serializes publish_cycle (loop vs. publish_now)
+    std::mutex publish_mutex_;  ///< serializes publish cycles (loop vs. publish_now)
+    std::uint64_t folds_landed_ = 0;  ///< ticket of the last cycle that published (publish_mutex_)
+    std::exception_ptr publisher_failure_;  ///< caught on the publisher thread (publish_mutex_)
     std::thread publisher_;
     std::mutex wake_mutex_;
     std::condition_variable wake_;

@@ -24,6 +24,10 @@
 ///  * Each shard worker drains its rings in batches and applies each batch
 ///    with one span update() under the shard lock. Readers never traverse
 ///    live sketch state: they copy it under that lock, O(k) per shard.
+///  * Workers are event-driven: a worker whose lanes run dry yields a few
+///    times, then parks until a producer publishes its next run (or flush()
+///    or stop() wakes it), so flush() waits for the backlog, not for a
+///    backoff timer, and an idle engine costs no CPU.
 ///
 /// Reads: view() — and the snapshot service's published view — is a
 /// partitioned_view, one copy per shard and no merge: a point query asks
@@ -158,6 +162,7 @@ struct engine_stats {
     std::uint64_t spellings_applied = 0;   ///< reached a shard dictionary
     std::uint64_t spelling_rejects = 0;    ///< deferred by full channels (retried later)
     std::uint64_t updates_dropped = 0;     ///< published after stop() or to a failed shard
+    std::uint64_t worker_parks = 0;        ///< idle workers blocking until woken (per park, not per update)
     std::uint64_t snapshot_folds = 0;      ///< snapshot() calls
     std::uint64_t snapshot_shards_refolded = 0;  ///< shards merged by folds + copied by views
 };
@@ -316,6 +321,9 @@ public:
                 }
                 const std::size_t n = ring.try_push(pending);
                 pending = pending.subspan(n);
+                if (n > 0) {
+                    shard.wake();  // before any full-ring wait: it needs the worker
+                }
                 if (!pending.empty()) {
                     ++stalls_;
                     engine_->stalls_.fetch_add(1, std::memory_order_relaxed);
@@ -413,7 +421,15 @@ public:
             // Thread spawn or shard construction failed partway: stop and
             // join the workers that did start, so unwinding never destroys
             // a joinable thread or leaves a worker draining a dead engine.
-            stopping_.store(true, std::memory_order_release);
+            // Every started worker reports in first, so each shard pointer
+            // is final before wake_workers() reads it, and a worker that
+            // parked before the stop flag was set is woken.
+            stopping_.store(true, std::memory_order_seq_cst);
+            {
+                std::unique_lock<std::mutex> lk(start.m);
+                start.cv.wait(lk, [&] { return start.ready == workers_.size(); });
+            }
+            wake_workers();
             for (auto& w : workers_) {
                 if (w.joinable()) {
                     w.join();
@@ -468,6 +484,7 @@ public:
     void flush() {
         FREQ_REQUIRE(!stopping_.load(std::memory_order_acquire),
                      "flush() on a stopped engine");
+        wake_workers();
         for (const auto& shard : shards_) {
             const std::uint64_t target = shard->enqueued();
             const std::uint64_t spelling_target = shard->spellings_enqueued();
@@ -616,6 +633,7 @@ public:
         // Stop the publisher before the workers so no publish copies a
         // half-stopped engine.
         retire_snapshot_service();
+        wake_workers();  // a parked worker sees the stop flag only once woken
         for (auto& w : workers_) {
             if (w.joinable()) {
                 w.join();
@@ -631,6 +649,7 @@ public:
             st.batches_applied += shard->batches_applied();
             st.spellings_enqueued += shard->spellings_enqueued();
             st.spellings_applied += shard->spellings_applied();
+            st.worker_parks += shard->parks();
         }
         st.ring_full_stalls = stalls_.load(std::memory_order_relaxed);
         st.spelling_rejects = spelling_rejects_.load(std::memory_order_relaxed);
@@ -681,6 +700,20 @@ private:
             cfg_.spelling_channel_capacity, mem::placement{cfg_.hugepages, node});
     }
 
+    /// Wakes every constructed shard's worker (flush(), stop(), failed
+    /// construction).
+    void wake_workers() noexcept {
+        for (const auto& shard : shards_) {
+            if (shard != nullptr) {
+                shard->wake();
+            }
+        }
+    }
+
+    /// Drains shard s until stop() and its lanes run dry. An idle worker
+    /// yields 64 times (cheap when work is about to land), then parks until
+    /// the next wake(): producers wake it per published run, flush() and
+    /// stop() wake every shard.
     void worker_loop(std::uint32_t s) {
         engine_shard<K, W, Sketch>& shard = *shards_[s];
         std::uint32_t idle_streak = 0;
@@ -706,12 +739,10 @@ private:
                 }
                 continue;
             }
-            // Idle backoff: yield first (cheap on a contended box), then
-            // sleep briefly so idle shards do not starve producers of CPU.
             if (++idle_streak < 64) {
                 std::this_thread::yield();
             } else {
-                std::this_thread::sleep_for(std::chrono::microseconds(100));
+                shard.park(stopping_);
             }
         }
     }

@@ -44,6 +44,7 @@ struct pipeline_metrics {
     counter& engine_ring_full;
     counter& engine_publishes;
     counter& engine_dropped;
+    counter& engine_worker_parks;
     histogram& engine_ring_occupancy;
 
     // --- shard / sketch maintenance -----------------------------------------
@@ -111,6 +112,9 @@ private:
           engine_dropped(r.get_counter(
               "freq_engine_dropped_total",
               "Staged updates dropped: published after stop() or to a failed shard")),
+          engine_worker_parks(r.get_counter(
+              "freq_engine_worker_parks_total",
+              "Idle shard workers parking until the next published run")),
           engine_ring_occupancy(r.get_histogram(
               "freq_engine_ring_occupancy",
               "Ring fill level (elements) sampled at each producer publish")),
@@ -214,6 +218,7 @@ struct pipeline_metrics {
     counter engine_ring_full;
     counter engine_publishes;
     counter engine_dropped;
+    counter engine_worker_parks;
     histogram engine_ring_occupancy;
     histogram shard_drain_batch_size;
     counter shard_ticks;

@@ -2,7 +2,9 @@
 /// ingestion must reproduce the sequential sketch's guarantees (Theorem 4's
 /// error envelope, exact totals, bracketing bounds), snapshots must be safe
 /// and valid while ingestion is running, and the whole pipeline must be
-/// deterministic for a fixed producer order.
+/// deterministic for a fixed producer order. Idle workers park on a wake
+/// signal: a producer's flush alone must wake them, and stop() and a failed
+/// construction must not hang on them.
 
 #include "engine/stream_engine.h"
 
@@ -10,8 +12,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <exception>
+#include <functional>
+#include <future>
+#include <random>
 #include <span>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -19,6 +29,7 @@
 #include "api/summary_bytes.h"
 #include "core/basic_frequent_items.h"
 #include "core/frequent_items_sketch.h"
+#include "obs/pipeline_metrics.h"
 #include "stream/exact_counter.h"
 #include "stream/generators.h"
 
@@ -472,6 +483,162 @@ TEST(BatchedUpdate, RejectsNegativeWeightsAtomically) {
     EXPECT_TRUE(sketch.empty());
     EXPECT_EQ(sketch.total_weight(), 0.0);
     EXPECT_EQ(sketch.lower_bound(1), 0.0);
+}
+
+// --- idle parking ------------------------------------------------------------
+
+using namespace std::chrono_literals;
+
+/// Runs \p f on its own thread and returns what it threw (null if nothing).
+/// A call still running after \p limit aborts the binary: the hung thread
+/// could not be joined, so the test could not end any other way.
+std::exception_ptr run_with_deadline(std::chrono::seconds limit,
+                                     const std::function<void()>& f) {
+    std::promise<std::exception_ptr> done;
+    auto result = done.get_future();
+    std::thread t([&] {
+        std::exception_ptr e;
+        try {
+            f();
+        } catch (...) {
+            e = std::current_exception();
+        }
+        done.set_value(e);
+    });
+    if (result.wait_for(limit) != std::future_status::ready) {
+        std::fprintf(stderr, "call still running after %lld s\n",
+                     static_cast<long long>(limit.count()));
+        std::abort();
+    }
+    t.join();
+    return result.get();
+}
+
+template <typename Pred>
+bool eventually(std::chrono::steady_clock::duration limit, Pred pred) {
+    const auto deadline = std::chrono::steady_clock::now() + limit;
+    while (!pred()) {
+        if (std::chrono::steady_clock::now() > deadline) {
+            return false;
+        }
+        std::this_thread::yield();
+    }
+    return true;
+}
+
+// Lost-wakeup check: each cycle idles for a random 0-300 us (spanning the
+// worker's yield phase and its park), then publishes with producer::flush()
+// alone. No engine flush() wakes the workers, so a publish whose wakeup is
+// lost leaves its run unapplied and the deadline fails.
+TEST(StreamEngineParking, ProducerFlushAloneWakesParkedWorkers) {
+    engine_config cfg;
+    cfg.num_shards = 2;
+    stream_engine<> engine(cfg);
+    auto producer = engine.make_producer();
+    std::mt19937_64 rng(2024);
+    std::uniform_int_distribution<int> gap_us(0, 300);
+    std::uint64_t pushed = 0;
+    for (int cycle = 0; cycle < 1000; ++cycle) {
+        const auto until =
+            std::chrono::steady_clock::now() + std::chrono::microseconds(gap_us(rng));
+        while (std::chrono::steady_clock::now() < until) {
+        }
+        const int n = 1 + cycle % 3;
+        for (int i = 0; i < n; ++i) {
+            producer.push(rng(), 1);
+        }
+        pushed += static_cast<std::uint64_t>(n);
+        producer.flush();
+        ASSERT_TRUE(eventually(2s, [&] { return engine.stats().updates_applied == pushed; }))
+            << "cycle " << cycle << ": applied " << engine.stats().updates_applied << " of "
+            << pushed;
+    }
+    EXPECT_GT(engine.stats().worker_parks, 0u);
+}
+
+// park() re-checks the lanes and the stop flag after raising its parked
+// flag: a run that landed before the flag (so its wake() saw no parked
+// worker) must keep the worker from blocking, and so must a stop.
+TEST(StreamEngineParking, ParkRechecksLanesAndStopFlagBeforeBlocking) {
+    engine_shard<> shard(sketch_config{.max_counters = 64, .seed = 1}, 1, 64, 16);
+    ASSERT_TRUE(shard.ring(0).try_push(update64{1, 1}));  // no wake()
+    std::atomic<bool> stopping{false};
+    bool blocked = true;
+    EXPECT_EQ(run_with_deadline(10s, [&] { blocked = shard.park(stopping); }), nullptr);
+    EXPECT_FALSE(blocked);
+    EXPECT_EQ(shard.drain(), 1u);
+    stopping.store(true);
+    EXPECT_EQ(run_with_deadline(10s, [&] { blocked = shard.park(stopping); }), nullptr);
+    EXPECT_FALSE(blocked);
+    EXPECT_EQ(shard.parks(), 0u);
+}
+
+// Parked workers stay parked while nothing is published, and stop() wakes
+// them to exit.
+TEST(StreamEngineParking, StopReturnsWithParkedWorkers) {
+    engine_config cfg;
+    cfg.num_shards = 4;
+    stream_engine<> engine(cfg);
+    {
+        auto producer = engine.make_producer();
+        for (std::uint64_t i = 0; i < 1000; ++i) {
+            producer.push(i, 1);
+        }
+    }
+    engine.flush();
+    // Every worker parks, and a parked worker is never woken while nothing
+    // is published: the count settles (each wakeup would park again).
+    std::uint64_t parks = engine.stats().worker_parks;
+    ASSERT_TRUE(eventually(10s, [&] {
+        std::this_thread::sleep_for(50ms);
+        const std::uint64_t now = engine.stats().worker_parks;
+        return std::exchange(parks, now) == now && now >= 4;
+    })) << "parks: " << engine.stats().worker_parks;
+
+    EXPECT_EQ(run_with_deadline(10s, [&] { engine.stop(); }), nullptr);
+    EXPECT_EQ(engine.stats().updates_applied, 1000u);
+}
+
+/// A shard sketch whose constructor fails for one seed, once the other
+/// three shards' workers have parked.
+struct seed_bomb_sketch : basic_frequent_items<> {
+    static constexpr std::uint64_t bad_seed = 1003;
+    static inline std::uint64_t parks_before = 0;  ///< process-wide count at the start
+
+    explicit seed_bomb_sketch(const sketch_config& cfg) : basic_frequent_items(checked(cfg)) {}
+
+    static const sketch_config& checked(const sketch_config& cfg) {
+        if (cfg.seed == bad_seed) {
+#ifndef FREQ_OBS_OFF
+            (void)eventually(10s, [] {
+                return obs::pipeline().engine_worker_parks.value() >= parks_before + 3;
+            });
+#else
+            std::this_thread::sleep_for(100ms);
+#endif
+            throw std::runtime_error("shard construction failed");
+        }
+        return cfg;
+    }
+};
+
+TEST(StreamEngineParking, FailedShardConstructionRethrowsWithParkedWorkers) {
+    engine_config cfg;
+    cfg.num_shards = 4;  // shard s runs seed 1000 + s: shard 3 fails
+    cfg.sketch = sketch_config{.max_counters = 64, .seed = 1000};
+#ifndef FREQ_OBS_OFF
+    seed_bomb_sketch::parks_before = obs::pipeline().engine_worker_parks.value();
+#endif
+    const std::exception_ptr e = run_with_deadline(10s, [&] {
+        stream_engine<std::uint64_t, std::uint64_t, seed_bomb_sketch> engine(cfg);
+    });
+    ASSERT_NE(e, nullptr);
+    EXPECT_THROW(std::rethrow_exception(e), std::runtime_error);
+#ifndef FREQ_OBS_OFF
+    EXPECT_GE(obs::pipeline().engine_worker_parks.value() - seed_bomb_sketch::parks_before,
+              3u)
+        << "the healthy shards never parked, so the unwinding was not exercised";
+#endif
 }
 
 }  // namespace

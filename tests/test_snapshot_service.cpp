@@ -13,9 +13,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <span>
+#include <stdexcept>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -257,6 +259,91 @@ TEST(SnapshotService, CoalescedPublishStillSeesPriorWrites) {
     }
     svc.publish_now();
     EXPECT_EQ(svc.acquire()->total_weight(), 200u);
+}
+
+TEST(SnapshotService, ThrowingPublisherRefreshKeepsLastGoodViewAndSurfaces) {
+    // The third refresh throws on the publisher thread (no publish_now()
+    // runs before it). The process must not terminate, no view may show the
+    // half-written buffer, and the next publish_now() must rethrow.
+    constexpr std::uint64_t torn = ~std::uint64_t{0};
+    std::atomic<std::uint64_t> source{1};
+    std::atomic<std::uint64_t> folds{0};
+    std::atomic<std::uint64_t> refreshes{0};
+    std::atomic<std::uint64_t> refreshed{0};
+    snapshot_service<std::uint64_t> svc(
+        [&] {
+            folds.fetch_add(1);
+            return source.load();
+        },
+        std::chrono::microseconds(200),
+        [&](std::uint64_t& v) {
+            v = torn;
+            if (refreshes.fetch_add(1) == 2) {
+                throw std::runtime_error("refresh failed");
+            }
+            v = source.load();
+            refreshed.fetch_add(1);
+        });
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (refreshes.load() < 3 && std::chrono::steady_clock::now() < deadline) {
+        EXPECT_NE(*svc.acquire(), torn);
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    ASSERT_GE(refreshes.load(), 3u) << "publisher never reached its third refresh";
+    EXPECT_NE(*svc.acquire(), torn);
+
+    EXPECT_THROW(svc.publish_now(), std::runtime_error);
+    source.store(42);
+    const std::uint64_t epoch = svc.publish_now();  // reported once; this one publishes
+    EXPECT_EQ(*svc.acquire(), 42u);
+    EXPECT_GE(svc.epoch(), epoch);
+    svc.stop();
+    // Every publish came from a fold or a completed refresh: the failed
+    // refresh swapped nothing in.
+    EXPECT_EQ(svc.stats().publishes, folds.load() + refreshed.load());
+}
+
+TEST(SnapshotService, RidersDoNotAdoptAFailedPublish) {
+    // Two publish_now() callers queue behind a slow cycle; the next cycle
+    // throws. The caller that ran it gets the exception, and the other may
+    // not adopt that cycle as its own: it must publish a refresh of its own.
+    std::atomic<int> calls{0};
+    std::promise<void> release;
+    const std::shared_future<void> released = release.get_future().share();
+    snapshot_service<std::uint64_t> svc(
+        [] { return std::uint64_t{0}; }, quiet_interval, [&](std::uint64_t& v) {
+            const int call = ++calls;
+            if (call == 1) {
+                released.wait();  // holds the publish mutex
+            } else if (call == 2) {
+                throw std::runtime_error("refresh failed");
+            }
+            v = static_cast<std::uint64_t>(call);
+        });
+    std::thread holder([&] { svc.publish_now(); });
+    while (calls.load() < 1) {
+        std::this_thread::yield();
+    }
+    std::atomic<int> threw{0};
+    std::vector<std::thread> riders;
+    for (int i = 0; i < 2; ++i) {
+        riders.emplace_back([&] {
+            try {
+                svc.publish_now();
+            } catch (const std::runtime_error&) {
+                ++threw;
+            }
+        });
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));  // both queue up
+    release.set_value();
+    holder.join();
+    for (auto& t : riders) {
+        t.join();
+    }
+    EXPECT_EQ(threw.load(), 1);
+    EXPECT_EQ(calls.load(), 3) << "a caller adopted the failed cycle";
+    EXPECT_EQ(*svc.acquire(), 3u);
 }
 
 TEST(SnapshotService, ViewsOutliveTheService) {
