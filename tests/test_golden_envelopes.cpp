@@ -47,8 +47,26 @@ std::vector<std::uint8_t> read_file(const std::string& path) {
     return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
+/// Saves \p s and compares the envelope with tests/golden/<name>.sk.
+void expect_golden_bytes(const std::string& name, summarizer& s) {
+    // The stream must have forced decrement rounds, or the image would not
+    // pin the decrement path.
+    ASSERT_GT(s.maximum_error(), 0.0) << name;
+
+    const std::vector<std::uint8_t> built = s.save().bytes();
+    const std::vector<std::uint8_t> golden = read_file(FREQ_GOLDEN_DIR "/" + name + ".sk");
+    if (built != golden) {
+        std::ofstream(name + ".sk.actual", std::ios::binary)
+            .write(reinterpret_cast<const char*>(built.data()),
+                   static_cast<std::streamsize>(built.size()));
+        FAIL() << name << ": envelope differs from tests/golden/" << name << ".sk ("
+               << built.size() << " vs " << golden.size() << " bytes); wrote " << name
+               << ".sk.actual";
+    }
+}
+
 /// Feeds the golden stream (ticking aging policies every tick_every
-/// updates), saves, and compares with tests/golden/<name>.sk.
+/// updates), then compares its envelope with tests/golden/<name>.sk.
 void expect_golden(const std::string& name, summarizer s) {
     const bool text = s.descriptor().keys == key_kind::text;
     const bool ticks = s.descriptor().lifetime != lifetime_kind::plain;
@@ -64,20 +82,7 @@ void expect_golden(const std::string& name, summarizer s) {
         }
     }
     s.flush();
-    // The stream must have forced decrement rounds, or the image would not
-    // pin the decrement path.
-    ASSERT_GT(s.maximum_error(), 0.0) << name;
-
-    const std::vector<std::uint8_t> built = s.save().bytes();
-    const std::vector<std::uint8_t> golden = read_file(FREQ_GOLDEN_DIR "/" + name + ".sk");
-    if (built != golden) {
-        std::ofstream(name + ".sk.actual", std::ios::binary)
-            .write(reinterpret_cast<const char*>(built.data()),
-                   static_cast<std::streamsize>(built.size()));
-        FAIL() << name << ": envelope differs from tests/golden/" << name << ".sk ("
-               << built.size() << " vs " << golden.size() << " bytes); wrote " << name
-               << ".sk.actual";
-    }
+    expect_golden_bytes(name, s);
 }
 
 TEST(GoldenEnvelopes, Plain) {
@@ -104,6 +109,28 @@ TEST(GoldenEnvelopes, MapStorage) {
 
 TEST(GoldenEnvelopes, ShardedTwo) {
     expect_golden("sharded2", builder().max_counters(golden_k).seed(16).sharded(2).build());
+}
+
+/// Algorithm 5 over restored envelopes: the golden stream is cut into
+/// fleet_parts consecutive slices, each summarized (seeds 21–28), saved,
+/// restored and merged into a fresh aggregate (seed 20). The image pins the
+/// restored tables' slot layout, each merge's random start slot and the
+/// decrement rounds the merges trigger.
+TEST(GoldenEnvelopes, MergedFleet) {
+    constexpr std::size_t fleet_parts = 8;
+    const auto stream = golden_stream();
+    summarizer agg = builder().max_counters(golden_k).seed(20).build();
+    const std::size_t slice = stream.size() / fleet_parts;
+    for (std::size_t p = 0; p < fleet_parts; ++p) {
+        summarizer part = builder().max_counters(golden_k).seed(21 + p).build();
+        const std::size_t end = p + 1 == fleet_parts ? stream.size() : (p + 1) * slice;
+        for (std::size_t i = p * slice; i < end; ++i) {
+            part.update(stream[i].id, static_cast<double>(stream[i].weight));
+        }
+        part.flush();
+        agg.merge(restore_summary(part.save()));
+    }
+    expect_golden_bytes("merged", agg);
 }
 
 }  // namespace
