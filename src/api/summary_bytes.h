@@ -73,6 +73,7 @@
 #include "core/sketch_config.h"
 #include "core/spelling_dictionary.h"
 #include "core/string_frequent_items.h"
+#include "select/radix.h"
 
 namespace freq {
 
@@ -415,18 +416,21 @@ struct summary_serde_access {
     /// Writes offset | total | n | sorted (key, counter) rows. Sorting makes
     /// the encoding canonical: the hash table's slot order (a function of
     /// insertion history) never reaches the wire, so save → restore → save
-    /// is byte-identical.
+    /// is byte-identical. Keys are distinct, so the LSD radix sort yields
+    /// the one ascending order a comparison sort would.
     template <typename Core>
     static void put_counters(byte_writer& w, const Core& s) {
         using W = typename Core::weight_type;
         put_weight<W>(w, s.offset_);
         put_weight<W>(w, s.total_weight_);
         std::vector<std::pair<std::uint64_t, W>> rows;
+        rows.reserve(s.num_counters());
         s.for_each([&](auto key, W c) {
             rows.emplace_back(static_cast<std::uint64_t>(key), c);
         });
-        std::sort(rows.begin(), rows.end(),
-                  [](const auto& a, const auto& b) { return a.first < b.first; });
+        std::vector<std::pair<std::uint64_t, W>> scratch;
+        radix_sort_by_key(rows, scratch, [](const auto& row) { return row.first; });
+        w.reserve(w.size() + sizeof(std::uint32_t) + rows.size() * 2 * sizeof(std::uint64_t));
         w.put_u32(static_cast<std::uint32_t>(rows.size()));
         for (const auto& [key, c] : rows) {
             w.put_u64(key);

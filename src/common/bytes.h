@@ -48,10 +48,14 @@ public:
     std::size_t size() const noexcept { return buf_.size(); }
 
 private:
+    /// Grows the buffer once, then stores the little-endian bytes (a
+    /// push_back per byte re-checks the capacity on every byte).
     template <typename T>
     void put_le(T v) {
+        const std::size_t at = buf_.size();
+        buf_.resize(at + sizeof(T));
         for (std::size_t i = 0; i < sizeof(T); ++i) {
-            buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+            buf_[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
         }
     }
 

@@ -37,7 +37,7 @@
 #include "obs/pipeline_metrics.h"
 #include "core/sketch_config.h"
 #include "random/xoshiro.h"
-#include "select/quickselect.h"
+#include "select/radix.h"
 #include "stream/update.h"
 #include "table/counter_table.h"
 
@@ -403,7 +403,11 @@ protected:
     /// Sampling draws uniform slots until l of them land on live counters.
     /// Every draw writes its slot's value to the next sample position and
     /// advances that position only when the slot is occupied, so the
-    /// rejection of empty slots costs no branch.
+    /// rejection of empty slots costs no branch. c* is selected from the
+    /// samples by an MSB-first radix select over the counters' bit images
+    /// (select/radix.h): counters are positive, so the images order
+    /// like the values and c* is the same r-th smallest sample a comparison
+    /// quickselect would return.
     W decrement_counters() {
         const std::uint32_t slots = table_.num_slots();
         const std::size_t l = sample_buf_.size();
@@ -412,7 +416,7 @@ protected:
             sample_buf_[j] = table_.slot_value(s);
             j += table_.slot_occupied(s) ? 1 : 0;
         }
-        const W cstar = quickselect_quantile(std::span<W>(sample_buf_), cfg_.decrement_quantile);
+        const W cstar = radix_select_quantile(std::span<W>(sample_buf_), cfg_.decrement_quantile);
         FREQ_ENSURES(cstar > W{0});
         const std::uint32_t evicted = table_.decrement_all(cstar);
         obs::pipeline().sketch_evictions.add(evicted);

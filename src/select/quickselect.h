@@ -5,11 +5,13 @@
 /// Hoare's Find [Hoa61]: selection of the r-th smallest / largest element of
 /// a scratch buffer, in expected O(n) time, in place.
 ///
-/// This is the selection routine the paper relies on in three places:
-///  * Algorithm 3 (MED) — exact k*-th largest counter during a decrement;
-///  * Algorithm 4 (SMED) — quantile of the l sampled counters;
-///  * the "Hoa61" merge baseline of §3.1/§4.5 — k-th largest counter of the
-///    combined table.
+/// The paper relies on Hoare's selection for Algorithm 3 (MED), the exact
+/// k*-th largest counter during a decrement, and for the "Hoa61" merge
+/// baseline of §3.1/§4.5, the k-th largest counter of the combined table.
+/// Those callers (med_exact_sketch, generic_frequent_items' map-backed core
+/// and merge_baselines) still use it. Algorithm 4's sampled quantile (SMED)
+/// moved to radix_select_quantile (select/radix.h), which returns the same
+/// value with branch-free counting passes.
 /// Each step partitions three ways (Dijkstra's `<` / `==` / `>` split) around
 /// the median of three randomly drawn elements and stops as soon as the rank
 /// lands in the block equal to the pivot. Counter buffers are full of
@@ -72,6 +74,12 @@ T random_pivot(std::span<const T> v, xoshiro256ss& rng) {
     return b;
 }
 
+/// Rank of quantile \p q of \p n elements: floor(q * n), clamped to n - 1.
+inline std::size_t quantile_rank(std::size_t n, double q) noexcept {
+    const auto rank = static_cast<std::size_t>(q * static_cast<double>(n));
+    return rank < n ? rank : n - 1;
+}
+
 }  // namespace detail
 
 /// Rearranges \p v so that the r-th smallest element (0-based) is at index r,
@@ -109,17 +117,14 @@ T quickselect_largest(std::span<T> v, std::size_t r) {
 }
 
 /// Quantile q in [0, 1] of the buffer: q = 0 is the minimum, q = 0.5 the
-/// median, q -> 1 the maximum. Used to implement the Fig. 3 decrement-quantile
-/// sweep (SMIN is q = 0, SMED is q = 0.5). Mutates \p v.
+/// median, q -> 1 the maximum (the Fig. 3 decrement-quantile sweep: SMIN is
+/// q = 0, SMED is q = 0.5). The reference radix_select_quantile is tested
+/// against. Mutates \p v.
 template <typename T>
 T quickselect_quantile(std::span<T> v, double q) {
     FREQ_REQUIRE(!v.empty(), "quantile of empty range");
     FREQ_REQUIRE(q >= 0.0 && q <= 1.0, "quantile must be in [0, 1]");
-    auto rank = static_cast<std::size_t>(q * static_cast<double>(v.size()));
-    if (rank >= v.size()) {
-        rank = v.size() - 1;
-    }
-    return quickselect_smallest(v, rank);
+    return quickselect_smallest(v, detail::quantile_rank(v.size(), q));
 }
 
 }  // namespace freq

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/simd.h"
@@ -172,6 +173,53 @@ TEST(CounterTable, ForEachFromWrapsAround) {
         std::uint32_t visits = 0;
         t.for_each_from(start, [&](std::uint64_t, std::uint64_t) { ++visits; });
         EXPECT_EQ(visits, 16u) << "start=" << start;
+    }
+}
+
+/// for_each_from walks by 64-slot occupancy words; it must visit exactly
+/// what the per-slot loop visits, in the same order, from every start slot.
+/// Tables run from 2 to 8192 slots (below, at and across one word); each
+/// has a cluster forced across the array's end and is checked full and
+/// again after a decrement has punched holes into it.
+TEST(CounterTable, ForEachFromMatchesSlotOrder) {
+    for (std::uint32_t slots = 2; slots <= 8192; slots *= 2) {
+        table_u64 t(std::max<std::uint32_t>(1, slots / 4 * 3), slots);
+        ASSERT_EQ(t.num_slots(), slots);
+        // Keys homed on the last slot: the second wraps to slot 0 (the
+        // two-slot table holds only one counter).
+        std::uint64_t key = 1;
+        while (!t.full() && t.size() < 2) {
+            if (t.home_slot(key) == slots - 1) {
+                t.upsert(key, key % 100 + 1);
+            }
+            ++key;
+        }
+        ASSERT_EQ(t.slot_occupied(0), slots > 2);
+        xoshiro256ss rng(slots);
+        while (!t.full()) {
+            t.upsert(rng() | 1, rng.between(1, 100));
+        }
+        for (const bool holes : {false, true}) {
+            if (holes) {
+                ASSERT_GT(t.decrement_all(50), 0u);
+            }
+            for (std::uint32_t start = 0; start < slots; ++start) {
+                std::vector<std::pair<std::uint64_t, std::uint64_t>> want;
+                for (std::uint32_t step = 0; step < slots; ++step) {
+                    const std::uint32_t s = (start + step) % slots;
+                    if (t.slot_occupied(s)) {
+                        want.emplace_back(t.slot_key(s), t.slot_value(s));
+                    }
+                }
+                std::vector<std::pair<std::uint64_t, std::uint64_t>> got;
+                got.reserve(want.size());
+                t.for_each_from(start, [&](std::uint64_t k, std::uint64_t c) {
+                    got.emplace_back(k, c);
+                });
+                ASSERT_EQ(got, want) << "slots=" << slots << " start=" << start
+                                     << " holes=" << holes;
+            }
+        }
     }
 }
 
@@ -525,8 +573,10 @@ void reference_history(std::uint32_t k, std::uint64_t seed) {
     EXPECT_TRUE(reached_full) << "history never filled the table";
 }
 
-// 1, 2 and 3 give two- and four-slot tables whose clusters wrap; 4096 runs
-// a production-sized table through full-table decrement rounds.
+// 1, 2 and 3 give two- and four-slot tables whose clusters wrap; 5, 12, 24,
+// 48, 96 and 192 give 8 to 256 slots, below, at and across one 64-slot
+// occupancy word of the hole-closing walk; 4096 runs a production-sized
+// table through full-table decrement rounds.
 class CounterTableReference : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(CounterTableReference, U64MatchesSinglePassSweep) {
@@ -546,7 +596,7 @@ TEST_P(CounterTableReference, FloatMatchesSinglePassSweep) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Capacities, CounterTableReference,
-                         ::testing::Values(1, 2, 3, 64, 4096));
+                         ::testing::Values(1, 2, 3, 5, 12, 24, 48, 64, 96, 192, 4096));
 
 // --- blocked set-query scan -----------------------------------------------------
 
@@ -560,13 +610,17 @@ struct scan_probe : basic_frequent_items<std::uint64_t, W, L> {
 
     std::vector<row> reference_rows(error_type et, W threshold) const {
         std::vector<row> out;
-        this->table_.for_each([&](std::uint64_t id, W c) {
-            const W lb = this->present(c);
-            const W ub = this->present(c + this->offset_);
-            if ((et == error_type::no_false_positives ? lb : ub) > threshold) {
-                out.push_back(row{id, ub, lb, ub});
+        const auto& t = this->table_;
+        for (std::uint32_t s = 0; s < t.num_slots(); ++s) {
+            if (!t.slot_occupied(s)) {
+                continue;
             }
-        });
+            const W lb = this->present(t.slot_value(s));
+            const W ub = this->present(t.slot_value(s) + this->offset_);
+            if ((et == error_type::no_false_positives ? lb : ub) > threshold) {
+                out.push_back(row{t.slot_key(s), ub, lb, ub});
+            }
+        }
         std::sort(out.begin(), out.end(),
                   [](const row& a, const row& b) { return a.estimate > b.estimate; });
         return out;

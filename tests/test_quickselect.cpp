@@ -1,9 +1,12 @@
 #include "select/quickselect.h"
+#include "select/radix.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <utility>
 #include <vector>
@@ -173,6 +176,108 @@ TEST(QuickselectQuantile, MonotoneInQ) {
         const auto val = quickselect_quantile(std::span<std::uint64_t>(copy), q);
         EXPECT_GE(val, prev) << "q=" << q;
         prev = val;
+    }
+}
+
+// --- radix selection and sorting (select/radix.h) -------------------------
+
+/// A non-negative value of T whose magnitude spans the type's range, as
+/// heavy-tailed counters do: integers of a random bit length (the sign bit
+/// cleared for signed types), or floating-point values whose exponents span
+/// many octaves.
+template <typename T>
+T wide_value(xoshiro256ss& rng) {
+    if constexpr (std::is_floating_point_v<T>) {
+        const auto mantissa = static_cast<T>(rng.between(1, 1u << 20));
+        return std::ldexp(mantissa, static_cast<int>(rng.below(61)) - 40);
+    } else {
+        constexpr unsigned bits = 8 * sizeof(T) - (std::is_signed_v<T> ? 1 : 0);
+        return static_cast<T>((rng() >> (64 - bits)) >> rng.below(bits));
+    }
+}
+
+/// The buffers c* is selected from, and their degenerate cases.
+template <typename T>
+std::vector<std::vector<T>> selection_buffers() {
+    xoshiro256ss rng(sizeof(T) * 7 + std::is_floating_point_v<T>);
+    std::vector<std::vector<T>> out;
+    for (const std::size_t n : {1024u, 1000u, 7u}) {
+        std::vector<T> random(n);
+        for (auto& x : random) {
+            x = wide_value<T>(rng);
+        }
+        out.push_back(random);
+        // Duplicate-heavy: 12 distinct values, one of them on most slots,
+        // some differing only in their low byte.
+        std::vector<T> pool;
+        for (int i = 0; i < 6; ++i) {
+            const T v = wide_value<T>(rng);
+            pool.push_back(v);
+            if constexpr (std::is_floating_point_v<T>) {
+                pool.push_back(std::nextafter(v, T{2} * v));
+            } else {
+                pool.push_back(static_cast<T>(v ^ 1));
+            }
+        }
+        std::vector<T> dups(n);
+        for (auto& x : dups) {
+            x = rng.below(3) == 0 ? pool[rng.below(pool.size())] : pool[0];
+        }
+        out.push_back(dups);
+        out.push_back(std::vector<T>(n, pool[3]));
+    }
+    out.push_back({wide_value<T>(rng)});
+    out.push_back({T{0}, T{1}, T{0}, T{1}});  // zero is a valid image too
+    return out;
+}
+
+template <typename T>
+class RadixSelect : public ::testing::Test {};
+
+using counter_types = ::testing::Types<std::uint64_t, std::uint32_t, std::int64_t, double, float>;
+TYPED_TEST_SUITE(RadixSelect, counter_types);
+
+TYPED_TEST(RadixSelect, ReturnsQuickselectQuantile) {
+    using T = TypeParam;
+    for (const auto& buffer : selection_buffers<T>()) {
+        for (const double q : {0.0, 0.5, 0.999}) {
+            auto a = buffer;
+            auto b = buffer;
+            const T want = quickselect_quantile(std::span<T>(a), q);
+            const T got = radix_select_quantile(std::span<T>(b), q);
+            EXPECT_EQ(std::memcmp(&got, &want, sizeof(T)), 0)
+                << "n=" << buffer.size() << " q=" << q << " got " << got << " want " << want;
+        }
+    }
+}
+
+TEST(RadixSelect, RejectsBadArguments) {
+    std::vector<std::uint64_t> v{1, 2, 3};
+    std::vector<std::uint64_t> empty;
+    EXPECT_THROW(radix_select_quantile(std::span<std::uint64_t>(empty), 0.5),
+                 std::invalid_argument);
+    EXPECT_THROW(radix_select_quantile(std::span<std::uint64_t>(v), 1.1),
+                 std::invalid_argument);
+    std::vector<double> negative{1.0, -2.0};
+    EXPECT_THROW(radix_select_quantile(std::span<double>(negative), 0.5), std::logic_error);
+}
+
+TEST(RadixSortByKey, MatchesComparisonSort) {
+    xoshiro256ss rng(5);
+    for (const std::size_t n : {0u, 1u, 2u, 255u, 4096u}) {
+        for (const std::uint64_t key_mask : {~std::uint64_t{0}, std::uint64_t{0xffff},
+                                             std::uint64_t{0xff00'0000'00ff'0000}}) {
+            std::vector<std::pair<std::uint64_t, std::uint32_t>> rows;
+            for (std::size_t i = 0; i < n; ++i) {
+                rows.emplace_back(rng() & key_mask, static_cast<std::uint32_t>(i));
+            }
+            auto want = rows;
+            std::stable_sort(want.begin(), want.end(),
+                             [](const auto& a, const auto& b) { return a.first < b.first; });
+            std::vector<std::pair<std::uint64_t, std::uint32_t>> scratch;
+            radix_sort_by_key(rows, scratch, [](const auto& r) { return r.first; });
+            EXPECT_EQ(rows, want) << "n=" << n << " mask=" << key_mask;
+        }
     }
 }
 
