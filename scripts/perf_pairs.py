@@ -15,7 +15,10 @@ median change and how many pairs the change won (ties count for neither;
 the better direction comes from the change tree's BENCHMARK.json). The last
 column says whether a gain claim would hold under the usual rule: at least
 ten pairs, wins in at least nine tenths of them, and medians further apart
-than the parent's interquartile range, in the better direction.
+than the parent's interquartile range, in the better direction. After it,
+the median of the per-pair ratios change / parent with their min and max:
+host-wide speed swings move both runs of a pair together, so the ratio
+within a pair shows a gain that the per-side medians blur.
 
 Exits 1 if any run fails or reports `"correct": false`, 0 otherwise.
 """
@@ -94,7 +97,7 @@ def main():
     print(f"{args.workload}: {args.pairs} pairs x {args.seconds:g} s, "
           f"seeds {args.seed_base}..{args.seed_base + args.pairs - 1}")
     print(f"{'metric':32} {'parent median [Q1, Q3]':34} {'change median [Q1, Q3]':34} "
-          f"{'delta':>8} {'wins':>6}  claim")
+          f"{'delta':>8} {'wins':>6}  claim  pair ratio median [min, max]")
     for name in names:
         pairs = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
                  for p, c in zip(runs["parent"], runs["change"])
@@ -113,8 +116,11 @@ def main():
                  and sign * (cm - pm) > pq3 - pq1)
         par_col = f"{pm:.4g} [{pq1:.4g}, {pq3:.4g}]"
         chg_col = f"{cm:.4g} [{cq1:.4g}, {cq3:.4g}]"
+        ratios = [c / p for p, c in pairs if p]
+        ratio_col = (f"{statistics.median(ratios):.3f} [{min(ratios):.3f}, {max(ratios):.3f}]"
+                     if ratios else "n/a")
         print(f"{name:32} {par_col:34} {chg_col:34} {delta:+7.1f}% "
-              f"{wins:>2}/{len(pairs):<3}  {'yes' if holds else 'no'}")
+              f"{wins:>2}/{len(pairs):<3}  {('yes' if holds else 'no'):5} {ratio_col}")
     return 0 if ok else 1
 
 

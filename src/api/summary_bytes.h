@@ -52,8 +52,18 @@
 /// weight_kind. Decoding validates every field before the matching
 /// allocation — the §3 merging architecture ships summaries between
 /// machines, so envelope bytes are untrusted input.
+///
+/// Decode contract of a flat counter body: after n is read and bounded by
+/// capacity, the bytes of all complete rows present are bounds-checked
+/// once and the rows decoded as one block (one load per field). The
+/// errors and their order are those of decoding field by field: rows are
+/// checked in wire order, a non-ascending, non-positive or non-finite row
+/// throws std::invalid_argument, and a body cut short throws
+/// std::out_of_range at its first missing field, only if every row before
+/// that field passed its checks.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <span>
@@ -391,33 +401,50 @@ struct summary_serde_access {
 
     // -- weights on the wire --------------------------------------------------
 
+    /// A weight's wire image: u64 as is, double as its IEEE-754 bits.
+    template <typename W>
+    static std::uint64_t weight_bits(W v) noexcept {
+        if constexpr (std::is_floating_point_v<W>) {
+            return std::bit_cast<std::uint64_t>(static_cast<double>(v));
+        } else {
+            return static_cast<std::uint64_t>(v);
+        }
+    }
+
+    template <typename W>
+    static W weight_from_bits(std::uint64_t bits) noexcept {
+        if constexpr (std::is_floating_point_v<W>) {
+            return static_cast<W>(std::bit_cast<double>(bits));
+        } else {
+            return static_cast<W>(bits);
+        }
+    }
+
     template <typename W>
     static void put_weight(byte_writer& w, W v) {
-        if constexpr (std::is_floating_point_v<W>) {
-            w.put_f64(static_cast<double>(v));
-        } else {
-            w.put_u64(static_cast<std::uint64_t>(v));
-        }
+        w.put_u64(weight_bits(v));
     }
 
     template <typename W>
     static W get_weight(byte_reader& r) {
+        const W v = weight_from_bits<W>(r.get_u64());
         if constexpr (std::is_floating_point_v<W>) {
-            const double v = r.get_f64();
             FREQ_REQUIRE(std::isfinite(v), "envelope weight is not finite");
-            return static_cast<W>(v);
-        } else {
-            return static_cast<W>(r.get_u64());
         }
+        return v;
     }
 
     // -- the flat counter body (shared by every non-windowed core) -----------
+
+    /// Bytes of one (key, counter) row of a flat counter body.
+    static constexpr std::size_t counter_row_bytes = 2 * sizeof(std::uint64_t);
 
     /// Writes offset | total | n | sorted (key, counter) rows. Sorting makes
     /// the encoding canonical: the hash table's slot order (a function of
     /// insertion history) never reaches the wire, so save → restore → save
     /// is byte-identical. Keys are distinct, so the LSD radix sort yields
-    /// the one ascending order a comparison sort would.
+    /// the one ascending order a comparison sort would. The rows are sized
+    /// once and stored field by field with store_le.
     template <typename Core>
     static void put_counters(byte_writer& w, const Core& s) {
         using W = typename Core::weight_type;
@@ -430,21 +457,45 @@ struct summary_serde_access {
         });
         std::vector<std::pair<std::uint64_t, W>> scratch;
         radix_sort_by_key(rows, scratch, [](const auto& row) { return row.first; });
-        w.reserve(w.size() + sizeof(std::uint32_t) + rows.size() * 2 * sizeof(std::uint64_t));
         w.put_u32(static_cast<std::uint32_t>(rows.size()));
+        std::uint8_t* out = w.extend(rows.size() * counter_row_bytes);
         for (const auto& [key, c] : rows) {
-            w.put_u64(key);
-            put_weight<W>(w, c);
+            store_le(out, key);
+            store_le(out + sizeof(std::uint64_t), weight_bits(c));
+            out += counter_row_bytes;
         }
     }
 
-    /// Reads one flat counter body into an empty core via \p upsert_row.
-    /// Rows must be strictly ascending by key (canonical order doubles as
-    /// the duplicate check) and positive; count is bounded by capacity
-    /// before anything is inserted.
-    template <typename W, typename UpsertRow>
+    /// A row's key check: strictly ascending (canonical order doubles as
+    /// the duplicate check).
+    static void check_row_key(bool first, std::uint64_t prev_key, std::uint64_t key) {
+        FREQ_REQUIRE(first || key > prev_key,
+                     "envelope counter rows must be strictly ascending by key");
+    }
+
+    /// A row's counter check: finite and positive.
+    template <typename W>
+    static void check_row_counter(W c) {
+        if constexpr (std::is_floating_point_v<W>) {
+            FREQ_REQUIRE(std::isfinite(c), "envelope weight is not finite");
+        }
+        FREQ_REQUIRE(c > W{0}, "envelope contains a non-positive counter");
+    }
+
+    /// Reads one flat counter body into an empty core via \p insert_row.
+    /// Rows must be strictly ascending by key — which also proves the keys
+    /// distinct, so \p insert_row may skip the key compare — and positive;
+    /// count is bounded by capacity before anything is inserted.
+    ///
+    /// The rows are decoded as one block: the bytes of every complete row
+    /// present are bounds-checked once, then each row is two load_le calls.
+    /// The errors are those of decoding field by field: a row that breaks a
+    /// check throws std::invalid_argument, and when the body is cut short
+    /// the first missing field throws std::out_of_range — after every row
+    /// before it (and the cut row's key, when it is whole) has been checked.
+    template <typename W, typename InsertRow>
     static void get_counters(byte_reader& r, std::uint32_t max_counters, W& offset,
-                             W& total_weight, UpsertRow&& upsert_row) {
+                             W& total_weight, InsertRow&& insert_row) {
         const W off = get_weight<W>(r);
         const W total = get_weight<W>(r);
         if constexpr (std::is_floating_point_v<W>) {
@@ -453,15 +504,23 @@ struct summary_serde_access {
         }
         const std::uint32_t n = r.get_u32();
         FREQ_REQUIRE(n <= max_counters, "envelope counter count exceeds capacity");
+        const auto whole = static_cast<std::uint32_t>(
+            std::min<std::size_t>(n, r.remaining() / counter_row_bytes));
+        const std::uint8_t* row = r.get_block(whole * counter_row_bytes);
         std::uint64_t prev_key = 0;
-        for (std::uint32_t i = 0; i < n; ++i) {
-            const std::uint64_t key = r.get_u64();
-            FREQ_REQUIRE(i == 0 || key > prev_key,
-                         "envelope counter rows must be strictly ascending by key");
+        for (std::uint32_t i = 0; i < whole; ++i, row += counter_row_bytes) {
+            const std::uint64_t key = load_le<std::uint64_t>(row);
+            const W c = weight_from_bits<W>(load_le<std::uint64_t>(row + sizeof(key)));
+            check_row_key(i == 0, prev_key, key);
+            check_row_counter(c);
             prev_key = key;
-            const W c = get_weight<W>(r);
-            FREQ_REQUIRE(c > W{0}, "envelope contains a non-positive counter");
-            upsert_row(key, c);
+            insert_row(key, c);
+        }
+        if (whole < n) {
+            // The body ends inside row `whole`: its key is checked when it
+            // is whole, then the missing bytes throw std::out_of_range.
+            check_row_key(whole == 0, prev_key, r.get_u64());
+            static_cast<void>(r.get_u64());
         }
         offset = off;
         total_weight = total;
@@ -487,7 +546,7 @@ struct summary_serde_access {
         }
         get_counters<W>(r, s.cfg_.max_counters, s.offset_, s.total_weight_,
                         [&](std::uint64_t key, W c) {
-                            s.table_.upsert(static_cast<K>(key), c);
+                            s.table_.insert_absent(static_cast<K>(key), c);
                         });
     }
 

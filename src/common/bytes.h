@@ -5,15 +5,46 @@
 /// Endian-stable (little-endian on the wire) byte buffer reader/writer used
 /// by the sketch serialization code and the binary trace format.
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/contracts.h"
 
 namespace freq {
+
+/// Stores \p v at \p out as little-endian bytes: one memcpy on
+/// little-endian hosts, one byte at a time on others.
+template <typename T>
+inline void store_le(std::uint8_t* out, T v) noexcept {
+    static_assert(std::is_unsigned_v<T>, "wire fields are unsigned bit images");
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(out, &v, sizeof(T));
+    } else {
+        for (std::size_t i = 0; i < sizeof(T); ++i) {
+            out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+        }
+    }
+}
+
+/// Loads the little-endian field at \p in (the inverse of store_le).
+template <typename T>
+inline T load_le(const std::uint8_t* in) noexcept {
+    static_assert(std::is_unsigned_v<T>, "wire fields are unsigned bit images");
+    T v{};
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(&v, in, sizeof(T));
+    } else {
+        for (std::size_t i = 0; i < sizeof(T); ++i) {
+            v = static_cast<T>(v | (static_cast<T>(in[i]) << (8 * i)));
+        }
+    }
+    return v;
+}
 
 /// Append-only byte sink producing a portable little-endian encoding.
 class byte_writer {
@@ -43,20 +74,23 @@ public:
         buf_.insert(buf_.end(), p, p + n);
     }
 
+    /// Grows the buffer by \p n bytes and returns where they start, for a
+    /// caller that sizes a block of fields once and fills it with store_le.
+    /// The pointer is valid until the next write.
+    std::uint8_t* extend(std::size_t n) {
+        const std::size_t at = buf_.size();
+        buf_.resize(at + n);
+        return buf_.data() + at;
+    }
+
     const std::vector<std::uint8_t>& bytes() const noexcept { return buf_; }
     std::vector<std::uint8_t> take() && { return std::move(buf_); }
     std::size_t size() const noexcept { return buf_.size(); }
 
 private:
-    /// Grows the buffer once, then stores the little-endian bytes (a
-    /// push_back per byte re-checks the capacity on every byte).
     template <typename T>
     void put_le(T v) {
-        const std::size_t at = buf_.size();
-        buf_.resize(at + sizeof(T));
-        for (std::size_t i = 0; i < sizeof(T); ++i) {
-            buf_[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
-        }
+        store_le(extend(sizeof(T)), v);
     }
 
     std::vector<std::uint8_t> buf_;
@@ -87,9 +121,16 @@ public:
     }
 
     void get_bytes(void* out, std::size_t n) {
+        std::memcpy(out, get_block(n), n);
+    }
+
+    /// Bounds-checks the next \p n bytes once and returns where they start,
+    /// for a caller that decodes a block of fields with load_le.
+    const std::uint8_t* get_block(std::size_t n) {
         check(n);
-        std::memcpy(out, data_ + pos_, n);
+        const std::uint8_t* at = data_ + pos_;
         pos_ += n;
+        return at;
     }
 
     std::size_t remaining() const noexcept { return size_ - pos_; }
@@ -105,13 +146,7 @@ private:
 
     template <typename T>
     T get_le() {
-        check(sizeof(T));
-        T v{};
-        for (std::size_t i = 0; i < sizeof(T); ++i) {
-            v = static_cast<T>(v | (static_cast<T>(data_[pos_ + i]) << (8 * i)));
-        }
-        pos_ += sizeof(T);
-        return v;
+        return load_le<T>(get_block(sizeof(T)));
     }
 
     const std::uint8_t* data_;

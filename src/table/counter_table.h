@@ -18,10 +18,11 @@
 /// counter and removes the non-positive ones *in place*, with no scratch
 /// memory, in two linear passes. The first is a branch-free subtract over
 /// the parallel values_/states_ arrays that empties the slots of dying
-/// counters; the second walks once around the array from an empty slot and
-/// moves each survivor back to the first hole on its probe path, found from
-/// the survivor's state (distance from its preferred slot) without
-/// rehashing its key.
+/// counters (integral counters compare by a borrow bit, so the pass
+/// vectorizes under baseline SSE2); the second walks once around the array
+/// from an empty slot and moves each survivor back to the first hole on its
+/// probe path, found from the survivor's state (distance from its preferred
+/// slot) without rehashing its key.
 ///
 /// Walks that skip empty slots — that second pass, for_each (save, top
 /// items) and for_each_from (the source side of every Algorithm 5 merge) —
@@ -31,6 +32,7 @@
 ///
 /// find/upsert are the plain linear-probing loops of §2.3.3, one slot per
 /// step: at load factor <= 3/4 a probe touches a slot or two on average.
+/// insert_absent skips the key compares for keys known to be new.
 ///
 /// At 8-byte keys, 8-byte values and 2-byte states the table costs
 /// 18 * ceil_pow2(4k/3) bytes — the paper's "24k bytes" figure when 4k/3
@@ -152,6 +154,19 @@ public:
         }
         insert_at(idx, home, key, weight);
         return true;
+    }
+
+    /// Inserts \p key, which the caller knows is absent, into the first
+    /// empty slot of its probe path — where upsert would put it — reading
+    /// only states, never keys. Precondition: the table is not full. The
+    /// envelope decoder uses it: strictly ascending rows are distinct keys.
+    void insert_absent(K key, W weight) {
+        const std::uint32_t home = home_slot(key);
+        std::uint32_t idx = home;
+        while (states_[idx] != 0) {
+            idx = (idx + 1) & mask_;
+        }
+        insert_at(idx, home, key, weight);
     }
 
     /// Subtracts \p amount from every counter and erases the counters that
@@ -321,28 +336,49 @@ public:
 private:
     /// Pass 1 of decrement_all: subtracts \p amount from every live counter
     /// above it and empties the slots of the others, without a branch per
-    /// slot: integral counters mask the subtrahend, floating-point ones
-    /// scale it by 0 or 1 (a branch on the compare would mispredict on half
-    /// the slots). A slot's value is left unchanged when it does not
-    /// survive, so unsigned counters never wrap. Returns the number of
-    /// counters dropped.
+    /// slot (a branch on the compare would mispredict on half the slots). A
+    /// slot's value is left unchanged when it does not survive, so unsigned
+    /// counters never wrap. Returns the number of counters dropped.
+    ///
+    /// Integral counters compute "survives" (amount < value) as the borrow
+    /// out of amount − value, built from sub/and/or/xor/shift on the
+    /// unsigned images (signed ones biased by the sign bit so they order
+    /// like unsigned): SSE2 has no unsigned 64-bit compare, but it has all
+    /// of those, so the compiler vectorizes the loop under the baseline ISA.
+    /// Floating-point counters scale the subtrahend by 0 or 1.
     std::uint32_t subtract_and_drop(W amount) noexcept {
         std::uint32_t dropped = 0;
         W* const values = values_.data();
         state_type* const states = states_.data();
         const std::uint32_t n = num_slots_;
-        for (std::uint32_t i = 0; i < n; ++i) {
-            const W value = values[i];
-            const state_type state = states[i];
-            const bool dies = value <= amount;
-            if constexpr (std::is_integral_v<W>) {
-                const W keep = static_cast<W>(W{0} - static_cast<W>(!dies));
-                values[i] = static_cast<W>(value - (amount & keep));
-            } else {
-                values[i] = value - amount * static_cast<W>(!dies);
+        if constexpr (std::is_integral_v<W>) {
+            using U = std::make_unsigned_t<W>;
+            constexpr int top = 8 * sizeof(U) - 1;
+            constexpr U bias = std::is_signed_v<W> ? static_cast<U>(U{1} << top) : U{0};
+            const U a = static_cast<U>(static_cast<U>(amount) ^ bias);
+            for (std::uint32_t i = 0; i < n; ++i) {
+                const U v = static_cast<U>(static_cast<U>(values[i]) ^ bias);
+                const auto survives =
+                    static_cast<U>(((~a & v) | (~(a ^ v) & static_cast<U>(a - v))) >> top);
+                const auto keep = static_cast<U>(U{0} - survives);
+                values[i] = static_cast<W>(static_cast<U>(values[i]) -
+                                           (static_cast<U>(amount) & keep));
+                const state_type state = states[i];
+                states[i] = static_cast<state_type>(
+                    state & static_cast<state_type>(0u - static_cast<unsigned>(survives)));
+                dropped += static_cast<std::uint32_t>(state != 0) &
+                           static_cast<std::uint32_t>(survives ^ 1u);
             }
-            states[i] = static_cast<state_type>(state & (0u - static_cast<unsigned>(!dies)));
-            dropped += static_cast<std::uint32_t>(dies & (state != 0));
+        } else {
+            for (std::uint32_t i = 0; i < n; ++i) {
+                const W value = values[i];
+                const state_type state = states[i];
+                const bool dies = value <= amount;
+                values[i] = value - amount * static_cast<W>(!dies);
+                states[i] =
+                    static_cast<state_type>(state & (0u - static_cast<unsigned>(!dies)));
+                dropped += static_cast<std::uint32_t>(dies & (state != 0));
+            }
         }
         return dropped;
     }

@@ -595,6 +595,45 @@ TEST_P(CounterTableReference, FloatMatchesSinglePassSweep) {
     reference_history<float>(GetParam(), 5);
 }
 
+/// u64 counters at and above 2^63, decremented by the amounts at the edges
+/// of pass 1's borrow-bit compare: 0, 1, 2^63 − 1, 2^63 and 2^64 − 1, and
+/// by live counters. Counters straddle 2^63 and sit near 2^64 − 1, so a
+/// compare that gets the top bit wrong drops or keeps the wrong slots.
+/// Each decrement is checked against the reference sweep.
+void high_bit_history(std::uint32_t k, std::uint64_t seed) {
+    constexpr std::uint64_t top = std::uint64_t{1} << 63;
+    constexpr std::uint64_t amounts[] = {0, 1, top - 1, top, ~std::uint64_t{0}};
+    counter_table<std::uint64_t, std::uint64_t> t(k, seed);
+    xoshiro256ss rng(seed * 37 + k);
+    const auto counter = [&]() -> std::uint64_t {
+        switch (rng.below(4)) {
+            case 0: return top - 16 + rng.below(32);         // straddles 2^63
+            case 1: return ~std::uint64_t{0} - rng.below(8);  // near 2^64 − 1
+            case 2: return 1 + rng.below(8);                   // small
+            default: return top + (rng() >> 1);                // high half
+        }
+    };
+    const int rounds = static_cast<int>(std::max<std::uint32_t>(60, k / 8));
+    for (int round = 0; round < rounds; ++round) {
+        while (!t.full()) {
+            t.upsert(rng(), counter());
+        }
+        std::uint64_t amount = amounts[round % 5];
+        if (round % 7 == 6) {  // a live counter, as Algorithm 4 picks c*
+            std::uint32_t s = 0;
+            do {
+                s = static_cast<std::uint32_t>(rng.below(t.num_slots()));
+            } while (!t.slot_occupied(s));
+            amount = t.slot_value(s);
+        }
+        ASSERT_NO_FATAL_FAILURE(decrement_against_reference(t, amount, round));
+    }
+}
+
+TEST_P(CounterTableReference, U64HighBitMatchesSinglePassSweep) {
+    high_bit_history(GetParam(), 6);
+}
+
 INSTANTIATE_TEST_SUITE_P(Capacities, CounterTableReference,
                          ::testing::Values(1, 2, 3, 5, 12, 24, 48, 64, 96, 192, 4096));
 
