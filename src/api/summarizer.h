@@ -72,6 +72,25 @@ inline void require_weight(double w, bool counts) {
     }
 }
 
+/// Updates counted toward telemetry's facade_updates but not yet added to
+/// it: summarizers and feeders add them every 4096 updates, on flush and
+/// on destruction, never per update.
+struct update_tally {
+    std::uint64_t pending = 0;
+
+    void count(std::size_t n) {
+        if ((pending += n) >= 4096) {
+            flush();
+        }
+    }
+    void flush() noexcept {
+        if (pending > 0) {
+            obs::pipeline().facade_updates.add(pending);
+            pending = 0;
+        }
+    }
+};
+
 /// The erased ingestion handle behind summarizer::feeder. The handle
 /// validates u64 pushes and stages them in `run`; push_run() receives each
 /// full run (or the partial one at flush). The staging state lives here, on
@@ -90,7 +109,7 @@ struct feeder_impl {
     std::array<update64d, run_capacity> run;
     std::size_t staged = 0;                 ///< run[0, staged) awaits dispatch
     std::size_t run_length = run_capacity;  ///< dispatch once this many are staged
-    std::uint64_t tally = 0;                ///< pushes not yet added to facade_updates
+    update_tally tally;
     bool text_keys = false;
     bool counts = true;
 };
@@ -219,7 +238,7 @@ public:
         }
         void push(std::string_view item, double weight = 1.0) {
             impl_->push(item, weight);
-            count(1);
+            impl_->tally.count(1);
         }
 
         /// Makes everything pushed so far visible to queries (for a sharded
@@ -227,7 +246,7 @@ public:
         /// summarizer::flush() for an applied-barrier).
         void flush() {
             dispatch();
-            add_tally();
+            impl_->tally.flush();
             impl_->flush();
         }
 
@@ -239,28 +258,14 @@ public:
             if (const std::size_t n = f.staged; n > 0) {
                 f.staged = 0;
                 f.push_run(std::span<const update64d>(f.run.data(), n));
-                count(n);
-            }
-        }
-
-        /// facade_updates is added from a plain tally: on flush, on
-        /// destruction and every 4096 pushes, never per push.
-        void count(std::size_t n) {
-            if ((impl_->tally += n) >= 4096) {
-                add_tally();
-            }
-        }
-        void add_tally() {
-            if (impl_->tally > 0) {
-                obs::pipeline().facade_updates.add(impl_->tally);
-                impl_->tally = 0;
+                f.tally.count(n);
             }
         }
 
         void drain() {
             if (impl_ != nullptr) {
                 dispatch();
-                add_tally();
+                impl_->tally.flush();
             }
         }
 
@@ -271,10 +276,19 @@ public:
     explicit summarizer(std::unique_ptr<detail::summarizer_impl> impl)
         : impl_(std::move(impl)) {}
 
-    summarizer(summarizer&&) noexcept = default;
-    summarizer& operator=(summarizer&&) noexcept = default;
+    summarizer(summarizer&& other) noexcept
+        : impl_(std::move(other.impl_)), tally_(std::exchange(other.tally_, {})) {}
+    summarizer& operator=(summarizer&& other) noexcept {
+        if (this != &other) {
+            tally_.flush();
+            impl_ = std::move(other.impl_);
+            tally_ = std::exchange(other.tally_, {});
+        }
+        return *this;
+    }
     summarizer(const summarizer&) = delete;
     summarizer& operator=(const summarizer&) = delete;
+    ~summarizer() { tally_.flush(); }
 
     bool valid() const noexcept { return impl_ != nullptr; }
 
@@ -291,19 +305,18 @@ public:
     /// summary (u64 update on a text summary and vice versa).
     void update(std::uint64_t id, double weight = 1.0) {
         checked().update(id, weight);
-        obs::pipeline().facade_updates.add(1);
+        tally_.count(1);
     }
     void update(std::string_view item, double weight = 1.0) {
         checked().update(item, weight);
-        obs::pipeline().facade_updates.add(1);
+        tally_.count(1);
     }
 
     /// Batched fast path — forwards whole runs to the template layer's
-    /// span ingest, amortizing the virtual dispatch (and the telemetry
-    /// bookkeeping: one counter add per batch) to one call per batch.
+    /// span ingest, amortizing the virtual dispatch to one call per batch.
     void update(std::span<const update64> batch) {
         checked().update(batch);
-        obs::pipeline().facade_updates.add(batch.size());
+        tally_.count(batch.size());
     }
 
     /// Concurrent ingestion handle (see feeder). Standalone feeders stage
@@ -319,8 +332,12 @@ public:
     }
 
     /// Barrier: everything already pushed (and flushed) by feeders is
-    /// applied before this returns. No-op for standalone summaries.
-    void flush() { checked().flush(); }
+    /// applied before this returns. No-op for standalone summaries, apart
+    /// from adding the update tally to telemetry (see detail::update_tally).
+    void flush() {
+        tally_.flush();
+        checked().flush();
+    }
 
     // --- lifetime ------------------------------------------------------------
 
@@ -453,6 +470,7 @@ private:
     }
 
     std::unique_ptr<detail::summarizer_impl> impl_;
+    detail::update_tally tally_;
 };
 
 }  // namespace freq

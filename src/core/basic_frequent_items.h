@@ -24,6 +24,7 @@
 /// SPSC-ring/batched-drain path.
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -111,7 +112,9 @@ public:
         if constexpr (std::is_signed_v<W> || std::is_floating_point_v<W>) {
             FREQ_REQUIRE(weight >= W{0}, "update weights must be non-negative");
         }
-        apply(id, weight);
+        if (weight != W{0}) {
+            ingest(id, account(weight), table_.home_slot(id));
+        }
     }
 
     /// Unit-weight convenience overload.
@@ -120,7 +123,8 @@ public:
     /// Processes a run of updates in order: exactly update(id, weight) for
     /// each element (same table state, same RNG consumption), except that
     /// the whole batch is validated before any element is applied. This is
-    /// the path the sharded engine's workers drain ring batches through.
+    /// the path the sharded engine's workers drain ring batches through;
+    /// the updates are admitted in blocks (ingest_rows).
     void update(std::span<const freq::update<K, W>> batch) {
         // All-or-nothing at the batch boundary: a rejected weight cannot
         // leave counters behind that total_weight_ does not reflect.
@@ -129,9 +133,13 @@ public:
                 FREQ_REQUIRE(u.weight >= W{0}, "update weights must be non-negative");
             }
         }
-        for (const auto& u : batch) {
-            apply(u.id, u.weight);
-        }
+        ingest_rows([&](auto&& emit) {
+            for (const auto& u : batch) {
+                if (u.weight != W{0}) {
+                    emit(u.id, account(u.weight));
+                }
+            }
+        });
     }
 
     void consume(const update_stream<K, W>& stream) {
@@ -286,10 +294,13 @@ public:
     /// counters becomes one weighted update here, iterated from a random
     /// slot (§3.2's note — front-to-back iteration with a shared hash
     /// function would overpopulate the front of this table), then offsets
-    /// add. O(k) time, no allocation, arbitrary aggregation trees supported
-    /// (Theorem 5). Under a fading policy the two summaries are first
-    /// aligned on the later logical clock, so the merged sketch is exactly
-    /// the fading summary of the interleaved streams.
+    /// add. The walk gathers the counters into a fixed stack block of rows,
+    /// each with its home slot in this table, and admits each block in walk
+    /// order (ingest_rows): O(k) time, no allocation, arbitrary aggregation
+    /// trees supported (Theorem 5). Under a fading policy the two summaries
+    /// are first aligned on the later logical clock, so the merged sketch is
+    /// exactly the fading summary of the interleaved streams; counters that
+    /// the alignment scales to zero are skipped while gathering.
     void merge(const basic_frequent_items& other) {
         FREQ_REQUIRE(&other != this, "cannot merge a sketch into itself");
         if constexpr (LifetimePolicy::decaying) {
@@ -304,11 +315,13 @@ public:
             if (!other.table_.empty()) {
                 const auto start =
                     static_cast<std::uint32_t>(rng_.below(other.table_.num_slots()));
-                other.table_.for_each_from(start, [&](K id, W c) {
-                    const W v = static_cast<W>(c * f);
-                    if (v > W{0}) {
-                        ingest(id, v);
-                    }
+                ingest_rows([&](auto&& emit) {
+                    other.table_.for_each_from(start, [&](K id, W c) {
+                        const W v = static_cast<W>(c * f);
+                        if (v > W{0}) {
+                            emit(id, v);
+                        }
+                    });
                 });
             }
             offset_ += static_cast<W>(other.offset_ * f);
@@ -318,7 +331,7 @@ public:
             if (!other.table_.empty()) {
                 const auto start =
                     static_cast<std::uint32_t>(rng_.below(other.table_.num_slots()));
-                other.table_.for_each_from(start, [&](K id, W c) { ingest(id, c); });
+                ingest_rows([&](auto&& emit) { other.table_.for_each_from(start, emit); });
             }
             offset_ += other.offset_;
             total_weight_ = combined_weight;
@@ -375,25 +388,62 @@ protected:
         }
     }
 
-    /// The body of update(id, weight) once \p weight is validated: ages it
-    /// into storage units, adds it to N and ingests it.
-    void apply(K id, W weight) {
-        if (weight == W{0}) {
-            return;
-        }
+    /// Ages a validated stream weight into storage units and adds it to N.
+    W account(W weight) {
         if constexpr (LifetimePolicy::decaying) {
             weight = static_cast<W>(weight * policy_.inflation());
         }
         total_weight_ += weight;
-        ingest(id, weight);
+        return weight;
     }
 
     /// Algorithm 4's Update(), minus N bookkeeping (merge() feeds raw
-    /// counters through this path without double-counting stream weight).
-    /// The admission skeleton is the shared claim_or_reduce; only the c*
+    /// counters through this path without double-counting stream weight),
+    /// for a key whose \p home = table_.home_slot(id) is already known. The
+    /// admission skeleton is the shared claim_or_reduce; only the c*
     /// selection (sampled quantile over table slots) lives here.
-    void ingest(K id, W weight) {
-        detail::claim_or_reduce(table_, id, weight, [&] { return decrement_counters(); });
+    void ingest(K id, W weight, std::uint32_t home) {
+        typename counter_table<K, W>::homed_view store{table_, home};
+        detail::claim_or_reduce(store, id, weight, [&] { return decrement_counters(); });
+    }
+
+    /// Rows a bulk path gathers before admitting any of them.
+    static constexpr std::uint32_t block_rows = 64;
+
+    /// The bulk admission of merge() and update(span). \p gather calls the
+    /// emit function it is given once per row, (id, weight in storage
+    /// units), in admission order. Rows are gathered into a fixed stack
+    /// block together with their home slot in table_, and each full block,
+    /// then the last partial one, is admitted row by row in order. Hashing a
+    /// block ahead keeps the hash off the path between one probe's
+    /// mispredicted exit and the next probe's load. Homes depend only on
+    /// the key and the table's seed and size, which decrements leave alone,
+    /// so the admissions, their RNG draws and the slot layout are those of
+    /// ingesting each row as it is gathered. No heap, O(1) space.
+    template <typename Gather>
+    void ingest_rows(Gather&& gather) {
+        struct homed_row {
+            K id;
+            W weight;
+            std::uint32_t home;
+        };
+        // Not zeroed: admit() reads only rows [0, n), which the gather has
+        // written, and clearing 1.5 KB per call costs span updates ~10%.
+        std::array<homed_row, block_rows> block;
+        std::uint32_t n = 0;
+        const auto admit = [&] {
+            for (std::uint32_t i = 0; i < n; ++i) {
+                ingest(block[i].id, block[i].weight, block[i].home);
+            }
+            n = 0;
+        };
+        gather([&](K id, W weight) {
+            block[n] = homed_row{id, weight, table_.home_slot(id)};
+            if (++n == block_rows) {
+                admit();
+            }
+        });
+        admit();
     }
 
     /// Algorithm 4's DecrementCounters(): sample l live counters with
@@ -408,7 +458,11 @@ protected:
     /// (select/radix.h): counters are positive, so the images order
     /// like the values and c* is the same r-th smallest sample a comparison
     /// quickselect would return.
-    W decrement_counters() {
+    ///
+    /// Kept out of line: it runs about once per k admissions, and inlined
+    /// into the admission loops it bloats them enough to cost merges and
+    /// span updates more than their precomputed home slots save.
+    [[gnu::noinline]] W decrement_counters() {
         const std::uint32_t slots = table_.num_slots();
         const std::size_t l = sample_buf_.size();
         for (std::size_t j = 0; j < l;) {

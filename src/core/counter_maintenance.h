@@ -110,8 +110,12 @@ namespace freq::detail {
 /// \param reduce  invoked only when the store is full; must subtract some
 ///                c* > 0 from every counter, erase the non-positive ones,
 ///                and return c*.
+///
+/// Declared inline so that compilers inline it into the per-row admission
+/// loops (basic_frequent_items::ingest_rows): called out of line, it costs
+/// merges and span updates more than their precomputed home slots save.
 template <typename Store, typename K, typename W, typename Reduce>
-void claim_or_reduce(Store& store, const K& id, W weight, Reduce&& reduce) {
+inline void claim_or_reduce(Store& store, const K& id, W weight, Reduce&& reduce) {
     if (W* c = store.find(id)) {
         *c += weight;
         return;

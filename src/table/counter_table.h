@@ -32,6 +32,11 @@
 ///
 /// find/upsert are the plain linear-probing loops of §2.3.3, one slot per
 /// step: at load factor <= 3/4 a probe touches a slot or two on average.
+/// Each also has a form that probes from a home slot the caller hashed
+/// ahead; the bulk paths into a table (Algorithm 5 merges and span
+/// updates, basic_frequent_items::ingest_rows) gather rows into a fixed
+/// stack block, each with its home slot in the destination, and admit them
+/// through homed_view, so a merge stays O(k) and allocation-free.
 /// insert_absent skips the key compares for keys known to be new.
 ///
 /// At 8-byte keys, 8-byte values and 2-byte states the table costs
@@ -123,8 +128,13 @@ public:
     }
 
     /// Pointer to the counter for \p key, or nullptr when untracked.
-    const W* find(K key) const noexcept {
-        std::uint32_t idx = home_slot(key);
+    const W* find(K key) const noexcept { return find(key, home_slot(key)); }
+    W* find(K key) noexcept { return find(key, home_slot(key)); }
+
+    /// find() probing from \p home, which must be home_slot(key): the one
+    /// probe loop, for callers that hashed the key ahead.
+    const W* find(K key, std::uint32_t home) const noexcept {
+        std::uint32_t idx = home;
         while (states_[idx] != 0) {
             if (keys_[idx] == key) {
                 return &values_[idx];
@@ -134,16 +144,18 @@ public:
         return nullptr;
     }
 
-    W* find(K key) noexcept {
-        return const_cast<W*>(static_cast<const counter_table*>(this)->find(key));
+    W* find(K key, std::uint32_t home) noexcept {
+        return const_cast<W*>(static_cast<const counter_table*>(this)->find(key, home));
     }
 
     /// Adds \p weight to the counter for \p key, inserting the key if absent.
     /// Returns true when a new counter was created.
     /// Precondition: if the key is absent, the table must not be full —
     /// callers (the sketch algorithms) decrement-and-compact first.
-    bool upsert(K key, W weight) {
-        const std::uint32_t home = home_slot(key);
+    bool upsert(K key, W weight) { return upsert(key, weight, home_slot(key)); }
+
+    /// upsert() probing from \p home, which must be home_slot(key).
+    bool upsert(K key, W weight, std::uint32_t home) {
         std::uint32_t idx = home;
         while (states_[idx] != 0) {
             if (keys_[idx] == key) {
@@ -155,6 +167,19 @@ public:
         insert_at(idx, home, key, weight);
         return true;
     }
+
+    /// The store detail::claim_or_reduce admits one key through when its
+    /// home slot is already known: find/upsert probe from \p home instead
+    /// of hashing the key again. Decrements never move a key's home, so a
+    /// view stays valid across the reduce step of its admission.
+    struct homed_view {
+        counter_table& table;
+        std::uint32_t home;
+
+        W* find(K key) const noexcept { return table.find(key, home); }
+        bool full() const noexcept { return table.full(); }
+        bool upsert(K key, W weight) const { return table.upsert(key, weight, home); }
+    };
 
     /// Inserts \p key, which the caller knows is absent, into the first
     /// empty slot of its probe path — where upsert would put it — reading

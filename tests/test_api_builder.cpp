@@ -13,6 +13,7 @@
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "api/builder.h"
@@ -591,7 +592,30 @@ TEST(ApiFeederStaging, FacadeUpdatesCountEveryPushOnce) {
         }
         f.flush();
         EXPECT_EQ(obs::pipeline().facade_updates.value() - before, 3 * staged_pushes);
+
+        // Scalar updates are tallied the same way: added at the 4096th
+        // update and on flush(), never per call.
+        const std::uint64_t scalar_before = obs::pipeline().facade_updates.value();
+        for (std::uint64_t i = 0; i < 5 * staged_pushes; ++i) {  // crosses 4096 once
+            s.update(i % 97, 1.0);
+        }
+        EXPECT_EQ(obs::pipeline().facade_updates.value() - scalar_before, 4096u);
+        s.flush();
+        EXPECT_EQ(obs::pipeline().facade_updates.value() - scalar_before, 5 * staged_pushes);
     }
+    // Text updates too, and destruction adds what is left of the tally,
+    // after a move hands it to the new owner.
+    const std::uint64_t before = obs::pipeline().facade_updates.value();
+    {
+        auto text = builder().text_keys().max_counters(64).build();
+        for (std::uint64_t i = 0; i < 4100; ++i) {
+            text.update(i % 2 == 0 ? "even" : "odd", 1.0);
+        }
+        EXPECT_EQ(obs::pipeline().facade_updates.value() - before, 4096u);
+        summarizer moved = std::move(text);
+        EXPECT_EQ(obs::pipeline().facade_updates.value() - before, 4096u);
+    }
+    EXPECT_EQ(obs::pipeline().facade_updates.value() - before, 4100u);
 }
 #endif
 
