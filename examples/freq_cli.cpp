@@ -241,8 +241,9 @@ void warm_pipeline(const update_stream<std::uint64_t, std::uint64_t>& stream) {
         builder b;
         b.text_keys().max_counters(512).seed(7).sharded(2);
         auto s = b.build();
-        // Few distinct words, many repeats: exercises the recently-sent
-        // dedupe filter as well as the spelling channel itself.
+        // Few distinct words, many repeats: most records find their
+        // spelling already in the shard dictionary (dedupe hits), the
+        // first tracked sighting of each word stores it.
         const std::size_t m = std::min<std::size_t>(stream.size(), 100'000);
         std::string word;
         for (std::size_t i = 0; i < m; ++i) {

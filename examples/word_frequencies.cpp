@@ -79,7 +79,7 @@ int main() {
     const auto snap = engine.snapshot();
     const auto st = engine.stats();
     std::printf("\nsharded engine (2 shards): N=%.0f, %llu updates applied, "
-                "%llu spellings shipped\n",
+                "%llu spellings stored\n",
                 snap.total_weight(),
                 static_cast<unsigned long long>(st.updates_applied),
                 static_cast<unsigned long long>(st.spellings_applied));

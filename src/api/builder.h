@@ -41,11 +41,13 @@
 ///
 /// Unsupported combinations are rejected at build() with a precise message:
 /// fading requires real weights, and the map storage has no sliding window
-/// and no sharding. Text keys shard like integer ones: the engine counts
-/// fingerprints on the ring hot path and each shard owns the spelling
+/// and no sharding. Text keys shard like integer ones: the engine rings
+/// carry (fingerprint, weight) records with each key's bytes on a byte
+/// lane beside them, in stream order, and each shard owns the spelling
 /// dictionary slice for the keys routed to it (engine/stream_engine.h), so
 /// `.text_keys().sharded(4)` materializes a concurrent text summarizer
-/// whose reports carry full spellings.
+/// whose reports carry full spellings and, fed through one producer,
+/// whose saved bytes depend only on its input.
 ///
 /// Every instantiation sits behind one class template,
 /// detail::facade_summary<Sketch, Sharded>, and one type table,
@@ -111,7 +113,7 @@ W facade_threshold(double t) {
 
 /// Core rows -> façade rows. Spelled rows (fingerprint-counted text cores)
 /// carry the 64-bit fingerprint the core actually counted (correct even
-/// while a spelling is still "<unknown>") and the human-readable key.
+/// for a row whose spelling is "<unknown>") and the human-readable key.
 /// Id-keyed rows — the table cores call the key `id`, the map core calls
 /// it `item` — spell the id in decimal.
 template <typename Rows>
@@ -196,10 +198,10 @@ inline void require_merge_compatible(const summary_descriptor& a,
 /// updates route through a lazily created internal producer (feeders get
 /// producers of their own). Either way every read answers from a
 /// partitioned view (see with_view), so each read method is written once.
-/// A sharded text summary's producers fingerprint keys onto the ring hot
-/// path and each shard owns its spelling-dictionary slice, so
-/// estimate("alice") asks the key's shard and top_items() reports each
-/// shard's spellings.
+/// A sharded text summary's producers fingerprint keys onto the rings,
+/// with the key bytes beside each record, and each shard owns its
+/// spelling-dictionary slice, so estimate("alice") asks the key's shard
+/// and top_items() reports each shard's spellings.
 template <typename Sketch, bool Sharded>
 class facade_summary final : public summarizer_impl {
 public:
@@ -444,7 +446,7 @@ private:
         explicit engine_feeder(typename engine_type::producer p) : producer_(std::move(p)) {}
         void push_run(std::span<const update64d> run) override {
             keyed<void>(run, [&](auto r) {
-                for (const update64d& u : r) {
+                for (const auto& u : r) {  // dependent: text engines take no u64 push
                     producer_.push(u.id, static_cast<W>(u.weight));
                 }
             });
@@ -691,8 +693,9 @@ public:
 
     /// Routes ingestion through the sharded concurrent engine: \p shards
     /// worker-owned sketches fed over SPSC rings by up to \p producers
-    /// concurrent feeders. u64 and text keys (text ships fingerprints on
-    /// the hot path and a per-shard spelling dictionary on a side lane).
+    /// concurrent feeders. u64 and text keys (text ships fingerprint
+    /// records with the key bytes beside them; each shard keeps the
+    /// spelling dictionary of its keys).
     builder& sharded(std::uint32_t shards, std::uint32_t producers = 1) {
         sharded_ = true;
         engine_.num_shards = shards;

@@ -9,13 +9,14 @@
 /// remembers the original keys of currently-tracked fingerprints so
 /// results are reported in the caller's vocabulary.
 ///
-/// This is the split the sharded engine needs: the hot path ships
-/// fixed-size (fingerprint, weight) records through the SPSC rings, the
-/// spellings travel once per key on a side channel, each shard owns the
-/// dictionary slice for the fingerprints routed to it, and snapshot merge
-/// unions slices (merge() below). Standalone use composes the same two
-/// halves in one object — `string_frequent_items` (string keys, the tf-idf
-/// use case of §1.2) is now an alias of this template, unchanged in API.
+/// This is the split the sharded engine needs: each ring record is a
+/// fixed-size (fingerprint, weight) pair whose key bytes ride a byte lane
+/// beside it, in stream order; a shard applies every record through the
+/// same keyed update(fp, item, w) a standalone summary runs, so each shard
+/// owns the dictionary slice for the fingerprints routed to it, and
+/// snapshot merge unions slices (merge() below). Standalone use composes
+/// the same two halves in one object — `string_frequent_items` (string
+/// keys, the tf-idf use case of §1.2) is an alias of this template.
 ///
 /// Fingerprint collisions merge two keys' counts; at 64 bits the chance any
 /// pair among k tracked items collides is ~k²/2⁶⁵ (≈1e-11 for k = 2¹⁵) —
@@ -30,11 +31,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "common/mem.h"
@@ -44,7 +43,6 @@
 #include "core/sketch_config.h"
 #include "core/spelling_dictionary.h"
 #include "hashing/hash.h"
-#include "stream/update.h"
 
 namespace freq {
 
@@ -141,42 +139,36 @@ public:
     // --- ingestion (keyed path: count + remember the spelling) ---------------
 
     void update(item_view item, W weight = W{1}) {
-        const std::uint64_t fp = Traits::fingerprint(item);
+        (void)update(Traits::fingerprint(item), item, weight);
+    }
+
+    /// What a keyed update did with the key's spelling: the dictionary
+    /// already held it, stored it now, or skipped it (untracked key).
+    enum class spelling_outcome : std::uint8_t { known, stored, untracked };
+
+    /// The keyed update with \p fp = fingerprint(item) already computed:
+    /// the body of update(item, w), and what an engine shard applies each
+    /// ring record through, so a shard equals a standalone summary fed its
+    /// sub-stream. Remembers the spelling while the item is tracked. Known
+    /// spellings skip the tracked-check entirely, and admission can only
+    /// have happened in the current epoch, so a windowed sketch probes one
+    /// epoch table, not all window_epochs of them (an id tracked only in
+    /// an older epoch got its dictionary entry when that epoch admitted
+    /// it, and prune keeps window-wide-tracked fingerprints). A spelling
+    /// swept while its key was untracked returns with the key's next
+    /// tracked occurrence.
+    spelling_outcome update(std::uint64_t fp, item_view item, W weight) {
         sketch_.update(fp, weight);
-        // Remember the spelling while the item is tracked. Known spellings
-        // skip the tracked-check entirely, and admission can only have
-        // happened in the current epoch, so a windowed sketch probes one
-        // epoch table, not all window_epochs of them (an id tracked only in
-        // an older epoch got its dictionary entry when that epoch admitted
-        // it, and prune keeps window-wide-tracked fingerprints).
-        if (!dict_.contains(fp) && tracked_now(fp)) {
-            if (dict_.note(fp, Traits::materialize(item))) {
-                prune();
-            }
+        if (dict_.contains(fp)) {
+            return spelling_outcome::known;
         }
-    }
-
-    // --- ingestion (fingerprint path: the engine's hot lane) -----------------
-
-    /// Batched fingerprint ingest — the span update the sharded engine's
-    /// workers drain ring batches through. Counts only; spellings arrive
-    /// separately through note_spelling() (the shard's side channel).
-    void update(std::span<const freq::update<std::uint64_t, W>> batch) {
-        sketch_.update(batch);
-    }
-
-    /// Attaches a spelling to \p fp. Insertion is unconditional (first
-    /// writer wins): on the engine a spelling can arrive before the counts
-    /// that admit its fingerprint, so it waits in the dictionary and is
-    /// swept only when the dictionary overflows its budget while the
-    /// fingerprint is untracked. Producers re-send spellings when their
-    /// recently-sent filter evicts, so a sweep is never permanent for a key
-    /// that keeps appearing.
-    template <typename V>
-    void note_spelling(std::uint64_t fp, V&& item) {
-        if (dict_.note(fp, std::forward<V>(item))) {
+        if (!tracked_now(fp)) {
+            return spelling_outcome::untracked;
+        }
+        if (dict_.note(fp, Traits::materialize(item))) {
             prune();
         }
+        return spelling_outcome::stored;
     }
 
     // --- lifetime ------------------------------------------------------------

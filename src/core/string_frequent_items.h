@@ -13,8 +13,9 @@
 /// spelling_dictionary remembers the spelling of currently-tracked
 /// fingerprints so results are human-readable. The split is what lets text
 /// keys ingest through the sharded engine: fixed-size fingerprint records
-/// ride the SPSC rings while each shard owns the dictionary slice for the
-/// keys routed to it (engine/stream_engine.h).
+/// ride the SPSC rings with each key's bytes on a byte lane beside them,
+/// and each shard, applying them through the same keyed update, owns the
+/// dictionary slice for the keys routed to it (engine/stream_engine.h).
 ///
 /// Pick a Lifetime (core/lifetime_policy.h) to get plain, time-fading or
 /// sliding-window semantics over the same fingerprint + dictionary scheme —

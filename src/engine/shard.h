@@ -14,36 +14,42 @@
 /// from a sketch_config with update(span), merge, tick and copy.
 ///
 /// Spelling-keeping sketches (core/fingerprint_frequent_items.h — text and
-/// generic keys) additionally get a spelling_channel: the rings still carry
-/// only fixed-size (fingerprint, weight) records, and the variable-size key
-/// spellings arrive through the channel, drained into the sketch's
-/// dictionary under the same mutex as the ring batches. This shard
-/// therefore owns the dictionary *slice* for exactly the fingerprints the
-/// engine routes to it.
+/// generic keys) get a second ring per producer, a byte lane: the record
+/// rings still carry fixed-size (fingerprint, weight) records, and each
+/// record's key bytes (lane_codec) travel on its producer's byte lane,
+/// published before the record. The worker takes a ring's records, then
+/// its lane's bytes, and applies each record through the sketch's keyed
+/// update(fp, key, w) in stream order, so the shard equals a standalone
+/// sketch fed the same sub-stream and owns the dictionary slice for
+/// exactly the fingerprints the engine routes to it.
 ///
 /// Threading contract:
-///  * ring(p).try_push(...)  — producer p only.
-///  * spellings().try_push() — any producer (mutex-guarded MPSC).
+///  * ring(p).try_push(...), lane(p).try_push(...) — producer p only.
 ///  * drain()                — the shard's single worker thread only.
 ///  * clone_sketch(), tick() — any thread; take the sketch mutex.
 ///  * fail()                 — the worker, once, when drain() throws.
 ///  * park()                 — the worker, when its lanes run dry.
 ///  * wake()                 — any thread, after making work visible.
 ///
-/// The sketch mutex is held only while a drained batch (or spelling run) is
-/// applied, while the sketch is being cloned for a snapshot, or while the
-/// lifetime clock ticks — never while waiting on a ring — so queries clone
-/// O(k) state and ingestion resumes immediately; readers never traverse
-/// live sketch state.
+/// The sketch mutex is held only while a drained batch is applied, while
+/// the sketch is being cloned for a snapshot, or while the lifetime clock
+/// ticks — never while waiting on a ring — so queries clone O(k) state and
+/// ingestion resumes immediately; readers never traverse live sketch state.
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <exception>
 #include <memory>
 #include <mutex>
 #include <span>
+#include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -52,32 +58,54 @@
 #include "common/mem.h"
 #include "core/frequent_items_sketch.h"
 #include "core/sketch_config.h"
-#include "engine/spelling_channel.h"
 #include "engine/spsc_ring.h"
 #include "obs/pipeline_metrics.h"
 #include "stream/update.h"
 
 namespace freq {
 
-/// A sketch that separates counting from identification: fingerprint spans
-/// on the hot path, spellings attached through note_spelling(), and a
-/// static fingerprint() mapping the engine can route by.
+/// A sketch that separates counting from identification: a static
+/// fingerprint() the engine routes by, and a keyed update that takes the
+/// fingerprint precomputed, through which a shard applies each record.
 template <typename Sketch>
 concept spelling_sketch = requires(Sketch& s, std::uint64_t fp,
-                                   typename Sketch::item_type item,
-                                   typename Sketch::item_view view) {
-    s.note_spelling(fp, std::move(item));
+                                   typename Sketch::item_view view,
+                                   typename Sketch::weight_type w) {
     { Sketch::fingerprint(view) } -> std::same_as<std::uint64_t>;
+    s.update(fp, view, w);
 };
 
 namespace detail {
 
-/// Zero-cost stand-in for shards whose sketch keeps no spellings.
-struct no_spelling_channel {
-    struct entry {};
-    explicit no_spelling_channel(std::size_t) {}
-    std::uint64_t pushed() const noexcept { return 0; }
-    std::uint64_t applied() const noexcept { return 0; }
+/// How a keyed push's key rides a byte lane: a trivially copyable key as
+/// its object bytes, a string as its length's object bytes and its chars.
+template <typename Item>
+struct lane_codec {
+    static_assert(std::is_trivially_copyable_v<Item>,
+                  "byte lanes carry std::string keys or trivially copyable ones");
+
+    static void put(std::string& out, const Item& key) {
+        out.append(reinterpret_cast<const char*>(&key), sizeof(Item));
+    }
+    static Item take(const char*& p) {
+        std::array<char, sizeof(Item)> raw{};
+        std::memcpy(raw.data(), p, sizeof(Item));
+        p += sizeof(Item);
+        return std::bit_cast<Item>(raw);
+    }
+};
+
+template <>
+struct lane_codec<std::string> {
+    static void put(std::string& out, std::string_view key) {
+        lane_codec<std::size_t>::put(out, key.size());
+        out.append(key);
+    }
+    static std::string_view take(const char*& p) {
+        const std::size_t n = lane_codec<std::size_t>::take(p);
+        p += n;
+        return {p - n, n};
+    }
 };
 
 /// The seq_cst fence park() and wake() pair on. g++ warns that TSan does
@@ -94,15 +122,6 @@ inline void park_fence() noexcept {
 #endif
 }
 
-template <typename Sketch, bool = spelling_sketch<Sketch>>
-struct spelling_channel_of {
-    using type = no_spelling_channel;
-};
-template <typename Sketch>
-struct spelling_channel_of<Sketch, true> {
-    using type = spelling_channel<typename Sketch::item_type>;
-};
-
 }  // namespace detail
 
 template <typename K = std::uint64_t, typename W = std::uint64_t,
@@ -111,28 +130,27 @@ class engine_shard {
 public:
     using update_type = update<K, W>;
     using sketch_type = Sketch;
-    using spelling_channel_type = typename detail::spelling_channel_of<Sketch>::type;
 
-    /// \param cfg               per-shard sketch configuration (already
-    ///                          seeded distinctly per shard by the engine —
-    ///                          §3.2).
-    /// \param num_producers     how many inbound SPSC rings to create.
-    /// \param ring_capacity     slots per ring (rounded up to a power of two).
-    /// \param batch_size        maximum updates applied per sketch lock.
-    /// \param spelling_capacity pending-spelling bound (spelling-keeping
-    ///                          sketches only; ignored otherwise).
-    /// \param place             memory hints (common/mem.h): huge-page
-    ///                          advice lands on the sketch tables, ring
-    ///                          buffers and spelling arena; NUMA locality
-    ///                          comes from *constructing this shard on the
-    ///                          pinned worker thread* (first-touch), which
-    ///                          is what stream_engine does.
+    /// Whether records carry key bytes on per-producer byte lanes.
+    static constexpr bool keyed = spelling_sketch<Sketch>;
+
+    /// \param cfg           per-shard sketch configuration (already seeded
+    ///                      distinctly per shard by the engine — §3.2).
+    /// \param num_producers how many inbound SPSC rings to create.
+    /// \param ring_capacity slots per ring (rounded up to a power of two);
+    ///                      a byte lane holds as many bytes as its record
+    ///                      ring's slots take.
+    /// \param batch_size    maximum updates applied per sketch lock.
+    /// \param place         memory hints (common/mem.h): huge-page advice
+    ///                      lands on the sketch tables, ring buffers and
+    ///                      spelling arena; NUMA locality comes from
+    ///                      *constructing this shard on the pinned worker
+    ///                      thread* (first-touch), which is what
+    ///                      stream_engine does.
     engine_shard(const sketch_config& cfg, std::size_t num_producers,
                  std::size_t ring_capacity, std::size_t batch_size,
-                 std::size_t spelling_capacity = 4096, const mem::placement& place = {})
-        : sketch_(make_sketch(cfg, place)),
-          spellings_(spelling_capacity),
-          batch_size_(batch_size) {
+                 const mem::placement& place = {})
+        : sketch_(make_sketch(cfg, place)), batch_size_(batch_size) {
         FREQ_REQUIRE(num_producers >= 1, "shard needs at least one producer ring");
         FREQ_REQUIRE(batch_size >= 1, "shard batch size must be positive");
         rings_.reserve(num_producers);
@@ -140,6 +158,16 @@ public:
             rings_.push_back(std::make_unique<spsc_ring<update_type>>(ring_capacity));
             mem::apply_placement(rings_.back()->storage(),
                                  rings_.back()->storage_bytes(), place);
+            if constexpr (keyed) {
+                lanes_.push_back(std::make_unique<spsc_ring<char>>(
+                    std::min(rings_.back()->storage_bytes(), std::size_t{1} << 30)));
+                mem::apply_placement(lanes_.back()->storage(),
+                                     lanes_.back()->storage_bytes(), place);
+            }
+        }
+        if constexpr (keyed) {
+            inboxes_.resize(num_producers);
+            chunk_.resize(4096);
         }
         batch_buf_.resize(batch_size);
     }
@@ -148,37 +176,41 @@ public:
     spsc_ring<update_type>& ring(std::size_t p) noexcept { return *rings_[p]; }
     std::size_t num_rings() const noexcept { return rings_.size(); }
 
-    /// Inbound spelling side-lane (spelling-keeping sketches only).
-    spelling_channel_type& spellings() noexcept { return spellings_; }
+    /// Inbound byte lane for producer \p p (keyed shards only): the key
+    /// bytes of each record, published before the record.
+    spsc_ring<char>& lane(std::size_t p) noexcept { return *lanes_[p]; }
 
     // --- worker side ---------------------------------------------------------
 
     /// Drains up to one batch from the inbound rings (round-robin across
-    /// producers for fairness) and applies it to the sketch under the lock;
-    /// then drains any pending spellings into the sketch dictionary.
-    /// Returns the number of updates + spellings applied; 0 means every
-    /// lane was empty.
+    /// producers for fairness) and applies it to the sketch under the lock.
+    /// Returns the number of updates applied (for keyed shards, plus the
+    /// key bytes taken off the lanes); 0 means every lane was empty.
     std::size_t drain() {
-        std::size_t n = 0;
-        const std::size_t r = rings_.size();
-        for (std::size_t i = 0; i < r && n < batch_size_; ++i) {
-            const std::size_t p = (next_ring_ + i) % r;
-            n += rings_[p]->try_pop(batch_buf_.data() + n, batch_size_ - n);
-        }
-        next_ring_ = (next_ring_ + 1) % r;
-        if (n > 0) {
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                sketch_.update(std::span<const update_type>(batch_buf_.data(), n));
+        if constexpr (keyed) {
+            return drain_keyed();
+        } else {
+            std::size_t n = 0;
+            const std::size_t r = rings_.size();
+            for (std::size_t i = 0; i < r && n < batch_size_; ++i) {
+                const std::size_t p = (next_ring_ + i) % r;
+                n += rings_[p]->try_pop(batch_buf_.data() + n, batch_size_ - n);
             }
-            applied_.fetch_add(n, std::memory_order_release);
-            batches_.fetch_add(1, std::memory_order_relaxed);
-            auto& m = obs::pipeline();
-            m.engine_updates_applied.add(n);
-            m.engine_batches_applied.add(1);
-            m.shard_drain_batch_size.record(n);
+            next_ring_ = (next_ring_ + 1) % r;
+            if (n > 0) {
+                {
+                    std::lock_guard<std::mutex> lock(mutex_);
+                    sketch_.update(std::span<const update_type>(batch_buf_.data(), n));
+                }
+                applied_.fetch_add(n, std::memory_order_release);
+                batches_.fetch_add(1, std::memory_order_relaxed);
+                auto& m = obs::pipeline();
+                m.engine_updates_applied.add(n);
+                m.engine_batches_applied.add(1);
+                m.shard_drain_batch_size.record(n);
+            }
+            return n;
         }
-        return n + drain_spellings();
     }
 
     // --- snapshot / flush / lifetime support ---------------------------------
@@ -214,21 +246,21 @@ public:
     }
 
     /// Monotonic dirty generation: advances whenever the shard sketch
-    /// mutates — a ring batch applied, a spelling drained, or a lifetime
-    /// tick. Composed from the cursors those paths already maintain, so the
-    /// drain hot path pays nothing extra. Publishes compare generations to
+    /// mutates — a ring batch applied or a lifetime tick. Composed from the
+    /// cursors those paths already maintain, so the drain hot path pays
+    /// nothing extra. Publishes compare generations to
     /// skip re-copying idle shards (partitioned_view::copy_dirty); a reader
     /// that loads the generation *before* cloning observes a value no newer
     /// than the clone, so a mutation racing the clone can only make the
     /// next publish copy again, never serve stale state.
     std::uint64_t generation() const noexcept {
-        return applied() + spellings_applied() + ticks_.load(std::memory_order_acquire);
+        return applied() + ticks_.load(std::memory_order_acquire);
     }
 
     /// Total updates ever enqueued into this shard's rings (sum of producer
     /// cursors) vs. total applied to the sketch. The engine's flush barrier
-    /// waits until applied() catches up with enqueued() — and, for
-    /// spelling-keeping sketches, until the spelling cursors agree too.
+    /// waits until applied() catches up with enqueued(); a record's key
+    /// bytes precede it, so that covers them too.
     std::uint64_t enqueued() const noexcept {
         std::uint64_t total = 0;
         for (const auto& r : rings_) {
@@ -241,8 +273,10 @@ public:
         return batches_.load(std::memory_order_relaxed);
     }
 
-    std::uint64_t spellings_enqueued() const noexcept { return spellings_.pushed(); }
-    std::uint64_t spellings_applied() const noexcept { return spellings_.applied(); }
+    /// Spellings stored into the shard's dictionary (keyed shards only).
+    std::uint64_t spellings_applied() const noexcept {
+        return spellings_applied_.load(std::memory_order_relaxed);
+    }
 
     /// Records the exception that stopped this shard's worker; the shard
     /// drains no further, and rethrow_failure() reports it.
@@ -257,10 +291,16 @@ public:
         }
     }
 
-    /// Whether any accepted update or spelling has not reached the sketch
-    /// yet (the flush barrier / worker-shutdown predicate).
+    /// Whether any published update has not reached the sketch yet, or a
+    /// byte lane holds bytes the worker has not taken (a producer may be
+    /// waiting for room for a long key) — the park / worker-shutdown
+    /// predicate.
     bool has_pending() const noexcept {
-        return applied() < enqueued() || spellings_applied() < spellings_enqueued();
+        if (applied() < enqueued()) {
+            return true;
+        }
+        return std::any_of(lanes_.begin(), lanes_.end(),
+                           [](const auto& lane) { return !lane->empty(); });
     }
 
     // --- idle parking ----------------------------------------------------------
@@ -315,39 +355,77 @@ private:
         }
     }
 
-    /// Moves pending spellings from the channel into the sketch dictionary
-    /// under the sketch mutex. Spellings may arrive before the counts that
-    /// admit their fingerprint — insertion is unconditional and the
-    /// dictionary's prune discipline (spelling_dictionary.h) bounds memory.
-    std::size_t drain_spellings() {
-        if constexpr (spelling_sketch<Sketch>) {
-            const std::size_t n = spellings_.drain(spelling_scratch_);
-            if (n > 0) {
-                std::lock_guard<std::mutex> lock(mutex_);
-                for (auto& e : spelling_scratch_) {
-                    sketch_.note_spelling(e.fp, std::move(e.item));
+    /// drain() for keyed shards. Per ring: take its records, then every
+    /// byte its lane holds — the records' bytes were published before
+    /// them, and a producer waiting on a long key gets room — and apply
+    /// the records in order through the sketch's keyed update.
+    std::size_t drain_keyed() {
+        using codec = detail::lane_codec<typename Sketch::item_type>;
+        using outcome = typename Sketch::spelling_outcome;
+        std::size_t n = 0;
+        std::size_t moved = 0;
+        std::uint64_t stored = 0;
+        std::uint64_t known = 0;
+        const std::size_t r = rings_.size();
+        {
+            std::unique_lock<std::mutex> lock(mutex_, std::defer_lock);
+            for (std::size_t i = 0; i < r; ++i) {
+                const std::size_t p = (next_ring_ + i) % r;
+                const std::size_t got =
+                    n < batch_size_ ? rings_[p]->try_pop(batch_buf_.data(), batch_size_ - n) : 0;
+                std::string& bytes = inboxes_[p];
+                for (std::size_t b; (b = lanes_[p]->try_pop(chunk_.data(), chunk_.size())) > 0;
+                     moved += b) {
+                    bytes.append(chunk_.data(), b);
                 }
-                spellings_.mark_applied(n);
-                obs::pipeline().spelling_applied.add(n);
+                if (got == 0) {
+                    continue;
+                }
+                if (!lock.owns_lock()) {
+                    lock.lock();
+                }
+                const char* c = bytes.data();
+                for (std::size_t j = 0; j < got; ++j) {
+                    const update_type& u = batch_buf_[j];
+                    const outcome o = sketch_.update(u.id, codec::take(c), u.weight);
+                    stored += o == outcome::stored;
+                    known += o == outcome::known;
+                }
+                bytes.erase(0, static_cast<std::size_t>(c - bytes.data()));
+                n += got;
             }
-            return n;
-        } else {
-            return 0;
         }
+        next_ring_ = (next_ring_ + 1) % r;
+        if (n > 0) {
+            applied_.fetch_add(n, std::memory_order_release);
+            batches_.fetch_add(1, std::memory_order_relaxed);
+            spellings_applied_.fetch_add(stored, std::memory_order_relaxed);
+            auto& m = obs::pipeline();
+            m.engine_updates_applied.add(n);
+            m.engine_batches_applied.add(1);
+            m.shard_drain_batch_size.record(n);
+            m.spelling_applied.add(stored);
+            m.spelling_dedupe_hits.add(known);
+        }
+        return n + moved;
     }
 
     Sketch sketch_;
     mutable std::mutex mutex_;  ///< guards sketch_ (drain vs. clone_sketch/tick)
 
     std::vector<std::unique_ptr<spsc_ring<update_type>>> rings_;
-    spelling_channel_type spellings_;  ///< inbound key spellings (side lane)
-    std::vector<typename spelling_channel_type::entry> spelling_scratch_;
+    std::vector<std::unique_ptr<spsc_ring<char>>> lanes_;  ///< key bytes (keyed only)
+    /// Worker-side bytes taken off each lane that no record has consumed
+    /// yet: a key longer than its lane gathers here in pieces.
+    std::vector<std::string> inboxes_;
+    std::vector<char> chunk_;             ///< worker-local lane pop scratch (keyed only)
     std::vector<update_type> batch_buf_;  ///< worker-local drain scratch
     std::size_t batch_size_;
     std::size_t next_ring_ = 0;  ///< round-robin fairness cursor
 
     std::atomic<std::uint64_t> applied_{0};
     std::atomic<std::uint64_t> batches_{0};
+    std::atomic<std::uint64_t> spellings_applied_{0};
     std::atomic<std::uint64_t> ticks_{0};  ///< lifetime-clock component of generation()
     std::exception_ptr failure_;           ///< written once, before failed_
     std::atomic<bool> failed_{false};

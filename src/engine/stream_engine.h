@@ -44,16 +44,17 @@
 /// policy-aware merge.
 ///
 /// Text / generic keys: with a spelling-keeping sketch
-/// (core/fingerprint_frequent_items.h) producers also accept keyed pushes —
-/// push("alice", 3.0). The producer fingerprints the key, the fixed-size
-/// (fingerprint, weight) record rides the ring hot path, and the spelling
-/// travels at most once per first sight (a per-producer dedupe filter that
-/// rolls one slot clear every few pushes, so swept spellings are re-sent)
-/// through the shard's bounded spelling_channel. Each shard owns the
-/// dictionary slice for its fingerprints: a view answers with each shard's
-/// spellings, snapshot() unions the slices, and flush() covers the spelling
-/// lane. Identification is best-effort; the counts keep the paper's exact
-/// NFP/NFN guarantees in fingerprint space.
+/// (core/fingerprint_frequent_items.h) producers take keyed pushes only —
+/// push("alice", 3.0). The producer fingerprints the key and stages the
+/// fixed-size (fingerprint, weight) record for the ring and the key's bytes
+/// for the (producer, shard) byte lane; a run's bytes are published before
+/// its records, so everything a shard sees arrives in stream order and the
+/// shard applies each record like a standalone keyed update. With one
+/// producer each shard therefore equals a standalone sketch with seed + s
+/// fed its routed sub-stream, dictionary included: a view answers with
+/// each shard's spellings, snapshot() unions the slices, and every tracked
+/// key is spelled. The counts keep the paper's exact NFP/NFN guarantees in
+/// fingerprint space.
 ///
 /// Failures surface: a worker whose drain() throws records the exception
 /// and stops; flush() and snapshot() rethrow it. Pushes published after
@@ -68,8 +69,8 @@
 #include <exception>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
+#include <string>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -114,7 +115,9 @@ struct engine_config {
     std::uint32_t num_producers = 1;
 
     /// Slots per ring, rounded up to a power of two. Bounded memory:
-    /// total queued updates never exceed P * S * ring_capacity.
+    /// total queued updates never exceed P * S * ring_capacity. Text and
+    /// generic keys get a byte lane per ring of the ring's size in bytes;
+    /// a longer key still ingests, in pieces.
     std::size_t ring_capacity = 4096;
 
     /// Maximum updates a worker applies to its sketch per lock acquisition.
@@ -123,17 +126,6 @@ struct engine_config {
     /// Updates a producer stages per shard before pushing the run into the
     /// shard's ring (amortizes ring synchronization).
     std::size_t producer_batch = 128;
-
-    /// Pending-spelling bound per shard (spelling-keeping sketches only):
-    /// a full channel defers the spelling to the key's next occurrence
-    /// instead of blocking the hot path.
-    std::size_t spelling_channel_capacity = 4096;
-
-    /// Slots in each producer's direct-mapped recently-sent spelling
-    /// filter (rounded up to a power of two). Smaller filters re-send
-    /// spellings more often (more side-lane traffic, faster healing of
-    /// swept spellings); larger ones dedupe better.
-    std::size_t spelling_filter_slots = 4096;
 
     /// Per-shard sketch configuration. Shard s runs with seed + s so the
     /// shards' hash functions are independent (§3.2's merge note).
@@ -158,9 +150,7 @@ struct engine_stats {
     std::uint64_t updates_applied = 0;   ///< applied to shard sketches
     std::uint64_t batches_applied = 0;   ///< sketch lock acquisitions by workers
     std::uint64_t ring_full_stalls = 0;  ///< producer yields due to full rings
-    std::uint64_t spellings_enqueued = 0;  ///< accepted into shard spelling channels
-    std::uint64_t spellings_applied = 0;   ///< reached a shard dictionary
-    std::uint64_t spelling_rejects = 0;    ///< deferred by full channels (retried later)
+    std::uint64_t spellings_applied = 0;   ///< stored into a shard dictionary
     std::uint64_t updates_dropped = 0;     ///< published after stop() or to a failed shard
     std::uint64_t worker_parks = 0;        ///< idle workers blocking until woken (per park, not per update)
     std::uint64_t snapshot_folds = 0;      ///< snapshot() calls
@@ -187,11 +177,8 @@ public:
             : engine_(other.engine_),
               slot_(other.slot_),
               stages_(std::move(other.stages_)),
-              filter_(std::move(other.filter_)),
-              filter_ticks_(other.filter_ticks_),
-              stalls_(other.stalls_),
-              spelling_rejects_(other.spelling_rejects_),
-              dedupe_hits_(other.dedupe_hits_) {
+              spelled_(std::move(other.spelled_)),
+              stalls_(other.stalls_) {
             other.engine_ = nullptr;
         }
         producer(const producer&) = delete;
@@ -208,8 +195,11 @@ public:
         /// Routes one weighted update to its shard's staging buffer.
         /// Weights are validated here, in the caller's thread, so a bad
         /// update surfaces as a catchable exception instead of unwinding a
-        /// shard worker (which would terminate the process).
-        void push(K id, W weight) {
+        /// shard worker (which would terminate the process). Engines over
+        /// text / generic keys take keyed pushes only.
+        void push(K id, W weight)
+            requires(!spelling_sketch<Sketch>)
+        {
             if constexpr (std::is_signed_v<W> || std::is_floating_point_v<W>) {
                 FREQ_REQUIRE(weight >= W{0}, "update weights must be non-negative");
             }
@@ -221,22 +211,25 @@ public:
             }
         }
 
-        void push(const update_type& u) { push(u.id, u.weight); }
+        void push(const update_type& u)
+            requires(!spelling_sketch<Sketch>)
+        {
+            push(u.id, u.weight);
+        }
 
         /// Routes a whole batch (the bulk-load path).
-        void push(std::span<const update_type> batch) {
+        void push(std::span<const update_type> batch)
+            requires(!spelling_sketch<Sketch>)
+        {
             for (const auto& u : batch) {
                 push(u.id, u.weight);
             }
         }
 
         /// Keyed push for spelling-keeping sketches (text / generic keys):
-        /// fingerprints \p item here in the producer's thread, routes the
-        /// fixed-size (fingerprint, weight) record through the ordinary
-        /// ring hot path, and ships the spelling itself at most once per
-        /// first-sight (per-producer direct-mapped dedupe; a full channel
-        /// defers to the key's next occurrence). Counting is exact in
-        /// fingerprint space whether or not the spelling has landed.
+        /// fingerprints \p item here in the producer's thread and stages the
+        /// (fingerprint, weight) record with the key's bytes beside it;
+        /// publish() hands both to the shard, bytes first.
         template <typename S = Sketch>
             requires spelling_sketch<S>
         void push(typename S::item_view item, W weight = W{1}) {
@@ -245,25 +238,7 @@ public:
             }
             const std::uint64_t fp = S::fingerprint(item);
             const std::uint32_t s = engine_->shard_of(fp);
-            // Rolling filter refresh: clear one slot every few keyed pushes
-            // so a spelling the shard swept while its fingerprint was
-            // untracked is re-sent within one full filter sweep even when
-            // the key mix is too small to cause slot collisions.
-            if (++filter_ticks_ >= spelling_refresh_period) {
-                filter_ticks_ = 0;
-                filter_->evict_next();
-            }
-            if (!filter_->recently_sent(fp)) {
-                if (engine_->shards_[s]->spellings().try_push(
-                        fp, S::key_traits::materialize(item))) {
-                    filter_->mark_sent(fp);
-                } else {
-                    ++spelling_rejects_;
-                    engine_->spelling_rejects_.fetch_add(1, std::memory_order_relaxed);
-                }
-            } else {
-                ++dedupe_hits_;
-            }
+            detail::lane_codec<typename S::item_type>::put(spelled_[s], item);
             auto& stage = stages_[s];
             stage.push_back(update_type{fp, weight});
             if (stage.size() >= engine_->cfg_.producer_batch) {
@@ -285,10 +260,6 @@ public:
         /// Producer-observed backpressure events (full-ring yields).
         std::uint64_t ring_full_stalls() const noexcept { return stalls_; }
 
-        /// Spellings deferred because the shard channel was full (each is
-        /// retried on the key's next occurrence).
-        std::uint64_t spelling_rejects() const noexcept { return spelling_rejects_; }
-
     private:
         friend class stream_engine;
 
@@ -298,71 +269,75 @@ public:
                 s.reserve(engine_->cfg_.producer_batch);
             }
             if constexpr (spelling_sketch<Sketch>) {
-                filter_.emplace(engine_->cfg_.spelling_filter_slots);
+                spelled_.resize(engine_->cfg_.num_shards);
             }
         }
 
-        /// Pushes shard \p s's staged run into its ring, yielding while full.
-        /// If the engine has been stopped, or the shard's worker failed (a
-        /// full ring would never drain), the remaining staged updates are
-        /// dropped and counted rather than livelocking — pushing after
-        /// stop() is a contract violation, but the destructor-flush must
-        /// stay safe against it.
+        /// Hands shard \p s's staged run to the shard: its key bytes (keyed
+        /// sketches) into the byte lane, then its records into the ring. If
+        /// the engine has been stopped, or the shard's worker failed (a full
+        /// ring would never drain), the rest of the run is dropped and its
+        /// records counted rather than livelocking — pushing after stop() is
+        /// a contract violation, but the destructor-flush must stay safe
+        /// against it. A run whose bytes did not all go in is dropped whole.
         void publish(std::uint32_t s) {
             auto& shard = *engine_->shards_[s];
             auto& ring = shard.ring(slot_);
-            std::span<const update_type> pending(stages_[s]);
-            const std::size_t staged = pending.size();
-            while (!pending.empty()) {
+            const std::span<const update_type> run(stages_[s]);
+            bool bytes_in = true;
+            if constexpr (spelling_sketch<Sketch>) {
+                const std::span<const char> bytes(spelled_[s]);
+                bytes_in = hand_off(shard, shard.lane(slot_), bytes) == bytes.size();
+                spelled_[s].clear();
+            }
+            const std::size_t pushed = bytes_in ? hand_off(shard, ring, run) : 0;
+            if (const std::size_t dropped = run.size() - pushed; dropped > 0) {
+                engine_->dropped_.fetch_add(dropped, std::memory_order_relaxed);
+                obs::pipeline().engine_dropped.add(dropped);
+            }
+            // Telemetry once per publish (amortized over producer_batch
+            // updates): totals plus a ring-occupancy sample right after
+            // the push, which is what backpressure tuning wants to see.
+            if (pushed > 0) {
+                auto& m = obs::pipeline();
+                m.engine_updates_enqueued.add(pushed);
+                m.engine_publishes.add(1);
+                m.engine_ring_occupancy.record(ring.size());
+            }
+            stages_[s].clear();
+        }
+
+        /// Pushes \p items into \p ring, yielding while it is full, and
+        /// returns how many went in: all of them, unless the engine stopped
+        /// or the shard failed first.
+        template <typename T>
+        std::size_t hand_off(engine_shard<K, W, Sketch>& shard, spsc_ring<T>& ring,
+                             std::span<const T> items) {
+            std::size_t done = 0;
+            while (done < items.size()) {
                 if (engine_->stopping_.load(std::memory_order_acquire) || shard.failed()) {
-                    engine_->dropped_.fetch_add(pending.size(), std::memory_order_relaxed);
-                    obs::pipeline().engine_dropped.add(pending.size());
                     break;
                 }
-                const std::size_t n = ring.try_push(pending);
-                pending = pending.subspan(n);
+                const std::size_t n = ring.try_push(items.subspan(done));
+                done += n;
                 if (n > 0) {
                     shard.wake();  // before any full-ring wait: it needs the worker
                 }
-                if (!pending.empty()) {
+                if (done < items.size()) {
                     ++stalls_;
                     engine_->stalls_.fetch_add(1, std::memory_order_relaxed);
                     obs::pipeline().engine_ring_full.add(1);
                     std::this_thread::yield();
                 }
             }
-            // Telemetry once per publish (amortized over producer_batch
-            // updates): totals plus a ring-occupancy sample right after
-            // the push, which is what backpressure tuning wants to see.
-            if (const std::size_t pushed = staged - pending.size(); pushed > 0) {
-                auto& m = obs::pipeline();
-                m.engine_updates_enqueued.add(pushed);
-                m.engine_publishes.add(1);
-                m.engine_ring_occupancy.record(ring.size());
-            }
-            // Dedupe hits since the last publish of any shard. Each one
-            // staged an update that is still unpublished, so flush() always
-            // reaches a publish that adds it.
-            if (dedupe_hits_ > 0) {
-                obs::pipeline().spelling_dedupe_hits.add(dedupe_hits_);
-                dedupe_hits_ = 0;
-            }
-            stages_[s].clear();
+            return done;
         }
-
-        /// Keyed pushes between rolling filter evictions: every slot clears
-        /// at least once per (period × slots) pushes, bounding both the
-        /// re-send rate and the time an evicted spelling stays hidden.
-        static constexpr std::size_t spelling_refresh_period = 16;
 
         stream_engine* engine_;
         std::uint32_t slot_;
         std::vector<std::vector<update_type>> stages_;  ///< one staging run per shard
-        std::optional<spelling_filter> filter_;  ///< recently-sent spelling dedupe
-        std::size_t filter_ticks_ = 0;           ///< pushes since the last eviction
+        std::vector<std::string> spelled_;  ///< the staged runs' key bytes (keyed only)
         std::uint64_t stalls_ = 0;
-        std::uint64_t spelling_rejects_ = 0;
-        std::uint64_t dedupe_hits_ = 0;  ///< not yet added to spelling_dedupe_hits
     };
 
     explicit stream_engine(const engine_config& cfg) : cfg_(cfg) {
@@ -487,9 +462,7 @@ public:
         wake_workers();
         for (const auto& shard : shards_) {
             const std::uint64_t target = shard->enqueued();
-            const std::uint64_t spelling_target = shard->spellings_enqueued();
-            while (shard->applied() < target ||
-                   shard->spellings_applied() < spelling_target) {
+            while (shard->applied() < target) {
                 shard->rethrow_failure();  // a failed shard never catches up
                 std::this_thread::yield();
             }
@@ -647,12 +620,10 @@ public:
             st.updates_enqueued += shard->enqueued();
             st.updates_applied += shard->applied();
             st.batches_applied += shard->batches_applied();
-            st.spellings_enqueued += shard->spellings_enqueued();
             st.spellings_applied += shard->spellings_applied();
             st.worker_parks += shard->parks();
         }
         st.ring_full_stalls = stalls_.load(std::memory_order_relaxed);
-        st.spelling_rejects = spelling_rejects_.load(std::memory_order_relaxed);
         st.updates_dropped = dropped_.load(std::memory_order_relaxed);
         st.snapshot_folds = snapshot_folds_.load(std::memory_order_relaxed);
         st.snapshot_shards_refolded = snapshot_refolds_.load(std::memory_order_relaxed);
@@ -697,7 +668,7 @@ private:
         }
         shards_[s] = std::make_unique<engine_shard<K, W, Sketch>>(
             local, cfg_.num_producers, cfg_.ring_capacity, cfg_.drain_batch,
-            cfg_.spelling_channel_capacity, mem::placement{cfg_.hugepages, node});
+            mem::placement{cfg_.hugepages, node});
     }
 
     /// Wakes every constructed shard's worker (flush(), stop(), failed
@@ -772,7 +743,6 @@ private:
     std::vector<std::uint32_t> free_slots_;  ///< slots of destroyed producers
     std::atomic<bool> stopping_{false};
     std::atomic<std::uint64_t> stalls_{0};
-    std::atomic<std::uint64_t> spelling_rejects_{0};
     std::atomic<std::uint64_t> dropped_{0};
     /// Excludes advance_epoch()'s tick loop from view copies, so every view
     /// holds its shards at one lifetime clock.

@@ -52,7 +52,6 @@
 // The sharded concurrent ingestion engine (§3 scaled to a running system).
 #include "engine/shard.h"
 #include "engine/snapshot_service.h"  // async double-buffered read path
-#include "engine/spelling_channel.h"  // text/generic key identification lane
 #include "engine/spsc_ring.h"
 #include "engine/stream_engine.h"
 

@@ -16,7 +16,7 @@
 ///   freq_shard_*     worker drain loop and lifetime clock
 ///   freq_sketch_*    sketch maintenance (decrement rounds, evictions,
 ///                    renormalizations)
-///   freq_spelling_*  identification side-lane (channel + dedupe filter)
+///   freq_spelling_*  text / generic key spellings stored by shard workers
 ///   freq_snapshot_*  async snapshot service
 ///   freq_facade_*    api/summarizer.h verbs
 ///   freq_hhh_* / freq_entropy_* / freq_replay_*
@@ -54,10 +54,8 @@ struct pipeline_metrics {
     counter& sketch_evictions;
     counter& sketch_renormalizations;
 
-    // --- spelling side-lane -------------------------------------------------
-    counter& spelling_enqueued;
+    // --- text / generic key spellings (engine shards) -----------------------
     counter& spelling_applied;
-    counter& spelling_rejects;
     counter& spelling_dedupe_hits;
 
     // --- snapshot service ---------------------------------------------------
@@ -133,18 +131,12 @@ private:
           sketch_renormalizations(r.get_counter(
               "freq_sketch_renormalizations_total",
               "Fading-sketch weight renormalizations (rebase of decayed scales)")),
-          spelling_enqueued(r.get_counter(
-              "freq_spelling_enqueued_total",
-              "Spellings accepted into shard spelling channels")),
           spelling_applied(r.get_counter(
               "freq_spelling_applied_total",
-              "Spellings applied to shard dictionaries")),
-          spelling_rejects(r.get_counter(
-              "freq_spelling_rejects_total",
-              "Spellings deferred by full channels (retried on next occurrence)")),
+              "Spellings stored into shard dictionaries")),
           spelling_dedupe_hits(r.get_counter(
               "freq_spelling_dedupe_hits_total",
-              "Keyed pushes whose spelling was suppressed by the recently-sent filter")),
+              "Keyed records whose spelling the shard dictionary already held")),
           snapshot_publishes(r.get_counter(
               "freq_snapshot_publishes_total",
               "Snapshot-service publish cycles (fold + buffer swap)")),
@@ -225,9 +217,7 @@ struct pipeline_metrics {
     counter sketch_decrement_rounds;
     counter sketch_evictions;
     counter sketch_renormalizations;
-    counter spelling_enqueued;
     counter spelling_applied;
-    counter spelling_rejects;
     counter spelling_dedupe_hits;
     counter snapshot_publishes;
     counter snapshot_coalesced_publishes;

@@ -1,8 +1,9 @@
 /// The sharded text/generic key path: any key kind must ingest through
-/// stream_engine at full ring speed — fingerprints on the hot path, a
-/// per-shard spelling-dictionary slice on the side lane — and still honor
-/// the paper's NFP/NFN guarantees against exact ground truth, report full
-/// spellings, and round-trip bit-exactly through the unified envelope.
+/// stream_engine — fingerprint records on the rings, their key bytes on a
+/// byte lane beside each ring, a per-shard spelling-dictionary slice — and
+/// still honor the paper's NFP/NFN guarantees against exact ground truth,
+/// report full spellings, and round-trip bit-exactly through the unified
+/// envelope.
 /// Covers the template layer (stream_engine over string_frequent_items and
 /// over a custom generic key type) and the façade
 /// (builder().text_keys().sharded(...)) across all three lifetime policies.
@@ -11,6 +12,7 @@
 
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -31,8 +33,7 @@ namespace freq {
 namespace {
 
 /// Skewed word stream: heavy words recur thousands of times, so their
-/// spellings are re-sent well past any dictionary sweep (see
-/// engine/spelling_channel.h on the re-send discipline).
+/// spellings reach the shards well past any dictionary sweep.
 std::vector<std::pair<std::string, std::uint64_t>> word_stream(std::uint64_t n,
                                                                std::uint32_t distinct,
                                                                std::uint64_t seed) {
@@ -80,46 +81,56 @@ TEST(EngineText, ShardedCountsMatchStandaloneGuarantees) {
     }
     EXPECT_EQ(snap.total_weight(), total);
 
-    // The flush barrier covers the spelling lane: every accepted spelling
-    // reached a shard dictionary.
     const auto st = engine.stats();
     EXPECT_EQ(st.updates_applied, stream.size());
-    EXPECT_EQ(st.spellings_applied, st.spellings_enqueued);
     EXPECT_GT(st.spellings_applied, 0u);
 }
 
 #ifndef FREQ_OBS_OFF
 TEST(EngineText, SpellingTelemetryAccountsForEveryKeyedPush) {
-    // Every keyed push ends in exactly one of three spelling outcomes —
-    // enqueued, rejected by a full channel, or suppressed by the dedupe
-    // filter — and after flush() the telemetry has counted each once. The
-    // dedupe hits are tallied in the producer and added per publish.
+    // Every keyed record ends in one of three outcomes at its shard: the
+    // dictionary already held its spelling (a dedupe hit), stored it, or
+    // skipped it (key untracked). A standalone sketch per shard, fed the
+    // routed sub-stream, tallies the outcomes the shard must have had;
+    // after flush() the telemetry and engine_stats have counted each once.
     const auto stream = word_stream(50'000, 3'000, 17);
+    using sketch = string_frequent_items<std::uint64_t>;
 
     engine_config cfg;
     cfg.num_shards = 2;
     cfg.num_producers = 1;
-    cfg.spelling_channel_capacity = 64;  // small enough to reject some
     cfg.sketch = sketch_config{.max_counters = 256, .seed = 5};
-    stream_engine<std::uint64_t, std::uint64_t, string_frequent_items<std::uint64_t>>
-        engine(cfg);
+    stream_engine<std::uint64_t, std::uint64_t, sketch> engine(cfg);
     auto& m = obs::pipeline();
     const std::uint64_t hits0 = m.spelling_dedupe_hits.value();
-    const std::uint64_t enqueued0 = m.spelling_enqueued.value();
-    const std::uint64_t rejects0 = m.spelling_rejects.value();
+    const std::uint64_t applied0 = m.spelling_applied.value();
+
+    std::vector<sketch> ref;
+    for (std::uint32_t s = 0; s < cfg.num_shards; ++s) {
+        ref.emplace_back(sketch_config{.max_counters = 256, .seed = 5 + s});
+    }
+    std::uint64_t known = 0;
+    std::uint64_t stored = 0;
+    std::uint64_t untracked = 0;
     {
         auto producer = engine.make_producer();
         for (const auto& [word, w] : stream) {
             producer.push(std::string_view(word), w);
+            const std::uint64_t fp = sketch::fingerprint(word);
+            switch (ref[engine.shard_of(fp)].update(fp, word, w)) {
+                case sketch::spelling_outcome::known: ++known; break;
+                case sketch::spelling_outcome::stored: ++stored; break;
+                case sketch::spelling_outcome::untracked: ++untracked; break;
+            }
         }
-        producer.flush();
-        const std::uint64_t hits = m.spelling_dedupe_hits.value() - hits0;
-        const std::uint64_t enqueued = m.spelling_enqueued.value() - enqueued0;
-        const std::uint64_t rejects = m.spelling_rejects.value() - rejects0;
-        EXPECT_GT(hits, 0u);
-        EXPECT_EQ(hits + enqueued + rejects, stream.size());
     }
     engine.flush();
+    EXPECT_GT(known, 0u);
+    EXPECT_GT(untracked, 0u);
+    EXPECT_EQ(known + stored + untracked, stream.size());
+    EXPECT_EQ(m.spelling_dedupe_hits.value() - hits0, known);
+    EXPECT_EQ(m.spelling_applied.value() - applied0, stored);
+    EXPECT_EQ(engine.stats().spellings_applied, stored);
 }
 #endif
 
@@ -201,20 +212,17 @@ TEST(EngineText, ConcurrentTextProducersSumWeights) {
     }
 }
 
-TEST(EngineText, SweptSpellingHealsViaRollingFilterRefresh) {
-    // Adversarial identification sequence: producer 1 sends a key's
-    // spelling while the key cannot hold a counter, producer 2's
-    // dictionary churn overflows the shard's budget and sweeps it, and the
-    // key then becomes a heavy hitter pushed ONLY by producer 1 with no
-    // other keys in flight — so nothing ever collides the key out of
-    // producer 1's recently-sent filter. The rolling refresh (one slot
-    // cleared per 16 keyed pushes) must force the re-send within one full
-    // filter sweep regardless; without it the heavy hitter would report
-    // "<unknown>" forever.
+TEST(EngineText, SweptSpellingReturnsWithTheKeysNextTrackedPush) {
+    // Adversarial identification sequence: producer 1 pushes a key once
+    // while the key cannot hold a counter, producer 2's dictionary churn
+    // overflows the shard's budget, and the key then becomes a heavy
+    // hitter pushed ONLY by producer 1 with no other keys in flight. Every
+    // record carries its key's bytes, so the push that gets the key
+    // tracked again also spells it; the heavy hitter must never report
+    // "<unknown>".
     engine_config cfg;
     cfg.num_shards = 1;
     cfg.num_producers = 2;
-    cfg.spelling_filter_slots = 8;  // full sweep every 16 x 8 = 128 pushes
     cfg.sketch = sketch_config{.max_counters = 16, .seed = 3};
     stream_engine<std::uint64_t, std::uint64_t, string_frequent_items<std::uint64_t>>
         engine(cfg);
@@ -222,8 +230,7 @@ TEST(EngineText, SweptSpellingHealsViaRollingFilterRefresh) {
         auto p1 = engine.make_producer();
         auto p2 = engine.make_producer();
         // p1: heavy fillers occupy all 16 counters, then one sighting of
-        // the future heavy hitter — its spelling is sent and marked in
-        // p1's filter, and nothing p1 pushes later can overwrite that slot.
+        // the future heavy hitter, which cannot hold a counter yet.
         for (int round = 0; round < 50; ++round) {
             for (int f = 0; f < 16; ++f) {
                 std::string word = "filler";  // +=: gcc 12 -Wrestrict FP (PR105329)
@@ -235,8 +242,7 @@ TEST(EngineText, SweptSpellingHealsViaRollingFilterRefresh) {
         p1.flush();
         engine.flush();
         // p2: distinct-key churn past the dictionary budget (4 x 16 = 64)
-        // evicts "phoenix" from the table and sweeps its spelling — while
-        // leaving p1's filter untouched.
+        // sweeps every untracked spelling.
         for (int i = 0; i < 400; ++i) {
             std::string word = "churn";
             word += std::to_string(i);
@@ -244,7 +250,7 @@ TEST(EngineText, SweptSpellingHealsViaRollingFilterRefresh) {
         }
         p2.flush();
         engine.flush();
-        // p1 again: ONLY the heavy hitter — no collisions, just refresh.
+        // p1 again: ONLY the heavy hitter.
         for (int i = 0; i < 2'000; ++i) {
             p1.push(std::string_view("phoenix"), 1'000);
         }
@@ -255,8 +261,184 @@ TEST(EngineText, SweptSpellingHealsViaRollingFilterRefresh) {
     const auto snap = engine.snapshot();
     const auto top = snap.top_items(1);
     ASSERT_EQ(top.size(), 1u);
-    EXPECT_EQ(top[0].item, "phoenix") << "swept spelling never healed";
+    EXPECT_EQ(top[0].item, "phoenix") << "swept spelling never returned";
     EXPECT_GE(snap.estimate("phoenix"), 1'000'000u);
+}
+
+// --- byte lanes: edge cases ---------------------------------------------------
+
+using text_engine =
+    stream_engine<std::uint64_t, std::uint64_t, string_frequent_items<std::uint64_t>>;
+
+TEST(EngineTextLanes, EmptyKeyIsCountedAndSpelled) {
+    engine_config cfg;
+    cfg.num_shards = 2;
+    cfg.sketch = sketch_config{.max_counters = 16, .seed = 4};
+    text_engine engine(cfg);
+    {
+        auto producer = engine.make_producer();
+        for (int i = 0; i < 300; ++i) {
+            producer.push(std::string_view(), 5);
+            producer.push(std::string_view("x"), 1);
+        }
+    }
+    engine.flush();
+    const auto snap = engine.snapshot();
+    EXPECT_EQ(snap.estimate(std::string_view()), 1'500u);
+    const auto top = snap.top_items(1);
+    ASSERT_EQ(top.size(), 1u);
+    EXPECT_EQ(top[0].item, "");  // spelled: an unspelled row reads "<unknown>"
+    EXPECT_EQ(top[0].fingerprint, string_frequent_items<std::uint64_t>::fingerprint(""));
+}
+
+TEST(EngineTextLanes, KeyLongerThanTheLaneStillIngests) {
+    // ring_capacity 64 gives each byte lane 64 x 16 = 1,024 bytes; the
+    // long key is 40x that, so it crosses the lane in pieces while the
+    // worker gathers them.
+    engine_config cfg;
+    cfg.num_shards = 1;
+    cfg.ring_capacity = 64;
+    cfg.producer_batch = 7;
+    cfg.sketch = sketch_config{.max_counters = 8, .seed = 6};
+    text_engine engine(cfg);
+    std::string long_key(40'000, 'a');
+    for (std::size_t i = 0; i < long_key.size(); i += 97) {
+        long_key[i] = static_cast<char>('b' + i % 23);
+    }
+    {
+        auto producer = engine.make_producer();
+        for (int i = 0; i < 50; ++i) {
+            producer.push(std::string_view(long_key), 10);
+            std::string word = "short";  // +=: gcc 12 -Wrestrict FP (PR105329)
+            word += std::to_string(i);
+            producer.push(std::string_view(word), 1);
+        }
+    }
+    engine.flush();
+    EXPECT_EQ(engine.stats().updates_applied, 100u);
+    const auto snap = engine.snapshot();
+    const auto top = snap.top_items(1);
+    ASSERT_EQ(top.size(), 1u);
+    EXPECT_EQ(top[0].item, long_key);
+    EXPECT_EQ(snap.estimate(long_key), 500u);
+}
+
+TEST(EngineTextLanes, PushesAfterStopDropBytesWithTheirRecords) {
+    engine_config cfg;
+    cfg.num_shards = 2;
+    cfg.ring_capacity = 64;
+    cfg.sketch = sketch_config{.max_counters = 16, .seed = 8};
+    text_engine engine(cfg);
+    auto producer = engine.make_producer();
+    producer.push(std::string_view("kept"), 1);
+    producer.flush();
+    engine.flush();
+    engine.stop();
+    // Far more bytes than the lanes hold: nothing may block or leak.
+    const std::string padding(3'000, 'p');
+    for (int i = 0; i < 500; ++i) {
+        std::string word = padding;
+        word += std::to_string(i);
+        producer.push(std::string_view(word), 1);
+    }
+    producer.flush();
+    EXPECT_EQ(engine.stats().updates_dropped, 500u);
+    EXPECT_EQ(engine.stats().updates_applied, 1u);
+}
+
+/// A text sketch whose keyed update throws on the sentinel key.
+struct poisoned_text_sketch : string_frequent_items<std::uint64_t> {
+    using base = string_frequent_items<std::uint64_t>;
+    using base::base;
+
+    auto update(std::uint64_t fp, std::string_view item, std::uint64_t w) {
+        if (item == "poison") {
+            throw std::runtime_error("poisoned update");
+        }
+        return base::update(fp, item, w);
+    }
+};
+
+TEST(EngineTextLanes, RunsToAThrowingShardAreDroppedWhole) {
+    engine_config cfg;
+    cfg.num_shards = 2;
+    cfg.ring_capacity = 64;
+    cfg.sketch = sketch_config{.max_counters = 16, .seed = 9};
+    stream_engine<std::uint64_t, std::uint64_t, poisoned_text_sketch> engine(cfg);
+    const std::uint32_t bad = engine.shard_of(poisoned_text_sketch::fingerprint("poison"));
+    auto producer = engine.make_producer();
+    producer.push(std::string_view("poison"), 1);
+    producer.flush();
+    EXPECT_THROW(engine.flush(), std::runtime_error);
+
+    // Long keys routed to the failed shard: bytes and records are dropped
+    // together, far past what its lanes hold, without blocking.
+    const std::uint64_t before = engine.stats().updates_dropped;
+    std::uint64_t sent = 0;
+    for (int i = 0; sent < 400; ++i) {
+        std::string word(2'000, 'q');
+        word += std::to_string(i);
+        if (engine.shard_of(poisoned_text_sketch::fingerprint(word)) == bad) {
+            producer.push(std::string_view(word), 1);
+            ++sent;
+        }
+    }
+    producer.flush();
+    EXPECT_EQ(engine.stats().updates_dropped - before, sent);
+}
+
+TEST(EngineTextLanes, TwoProducersOnOneShardStayExactAndSpelled) {
+    engine_config cfg;
+    cfg.num_shards = 1;
+    cfg.num_producers = 2;
+    cfg.ring_capacity = 64;
+    cfg.producer_batch = 7;
+    cfg.drain_batch = 16;
+    cfg.sketch = sketch_config{.max_counters = 64, .seed = 10};
+    text_engine engine(cfg);
+
+    constexpr int per_thread = 30'000;
+    std::vector<std::unordered_map<std::string, std::uint64_t>> truth(2);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 2; ++t) {
+        threads.emplace_back([&engine, &truth, t] {
+            auto producer = engine.make_producer();
+            xoshiro256ss rng(300 + static_cast<std::uint64_t>(t));
+            zipf_distribution zipf(400, 1.2);
+            for (int i = 0; i < per_thread; ++i) {
+                // Both producers share the word list; lengths vary so the
+                // two lanes carry differently sized runs.
+                std::string word(1 + rng.below(40), static_cast<char>('a' + t));
+                word += std::to_string(zipf(rng));
+                const std::uint64_t w = 1 + rng.below(3);
+                producer.push(std::string_view(word), w);
+                truth[static_cast<std::size_t>(t)][word] += w;
+            }
+        });
+    }
+    for (auto& t : threads) {
+        t.join();
+    }
+    engine.flush();
+
+    std::unordered_map<std::string, std::uint64_t> all = truth[0];
+    std::uint64_t total = 0;
+    for (const auto& [word, f] : truth[1]) {
+        all[word] += f;
+    }
+    for (const auto& [word, f] : all) {
+        total += f;
+    }
+    const auto snap = engine.snapshot();
+    EXPECT_EQ(snap.total_weight(), total);
+    const auto rows = snap.top_items(snap.num_counters());
+    ASSERT_EQ(rows.size(), snap.num_counters());
+    for (const auto& r : rows) {
+        ASSERT_TRUE(all.contains(r.item)) << "unspelled or misspelled row: " << r.item;
+        EXPECT_EQ(string_frequent_items<std::uint64_t>::fingerprint(r.item), r.fingerprint);
+        EXPECT_LE(r.lower_bound, all.at(r.item));
+        EXPECT_GE(r.upper_bound, all.at(r.item));
+    }
 }
 
 // --- generic (non-string) keys through the engine ----------------------------

@@ -21,6 +21,8 @@
 
 #include "api/builder.h"
 #include "api/summarizer.h"
+#include "core/string_frequent_items.h"
+#include "engine/stream_engine.h"
 #include "stream/generators.h"
 
 #ifndef FREQ_GOLDEN_DIR
@@ -109,6 +111,37 @@ TEST(GoldenEnvelopes, MapStorage) {
 
 TEST(GoldenEnvelopes, ShardedTwo) {
     expect_golden("sharded2", builder().max_counters(golden_k).seed(16).sharded(2).build());
+}
+
+/// Text keys through a two-shard engine. Each shard equals a standalone
+/// summary (seed + s) of the keys routed to it, so the image must also be
+/// the fold of those two partition summaries into an empty seed-17 one —
+/// which anchors it to the engine oracle (tests/test_engine_oracle.cpp),
+/// not only to its own bytes.
+TEST(GoldenEnvelopes, ShardedText2) {
+    constexpr std::uint64_t seed = 17;
+    const auto text_summary = [](std::uint64_t s) {
+        return builder().text_keys().max_counters(golden_k).seed(s);
+    };
+    expect_golden("sharded_text2", text_summary(seed).sharded(2).build());
+
+    engine_config cfg;
+    cfg.num_shards = 2;
+    cfg.sketch.seed = seed;
+    const stream_engine<> router(cfg);  // routing depends only on S and the seed
+    std::vector<summarizer> parts;
+    parts.push_back(text_summary(seed).build());
+    parts.push_back(text_summary(seed + 1).build());
+    for (const auto& u : golden_stream()) {
+        const std::string word = "ip" + std::to_string(u.id);
+        parts[router.shard_of(string_frequent_items<>::fingerprint(word))].update(
+            word, static_cast<double>(u.weight));
+    }
+    summarizer fold = text_summary(seed).build();
+    for (const summarizer& part : parts) {
+        fold.merge(part);
+    }
+    expect_golden_bytes("sharded_text2", fold);
 }
 
 /// Algorithm 5 over restored envelopes: the golden stream is cut into
